@@ -71,6 +71,7 @@ from .involution import (
     Involution,
     antipodal_check,
     build_involution,
+    conjugates,
     fixed_loci,
     invariant_cubes,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "certify",
     "chamber_complex",
     "conjugate",
+    "conjugates",
     "cubes_at_vertex",
     "determinant",
     "displacement",

@@ -24,12 +24,18 @@ from .words import IDENTITY, Word, multiply, word_to_text
 
 
 class ResourceCapError(RuntimeError):
-    """Raised when a ball would exceed the configured vertex budget."""
+    """Raised when a ball would exceed the configured vertex budget.
+
+    ``radius_reached`` is the largest radius whose ball fits the cap, or -1
+    when not even the identity does.
+    """
 
     def __init__(self, limit: int, radius_reached: int):
-        super().__init__(
-            f"vertex cap {limit} exceeded; last complete radius was {radius_reached}"
-        )
+        if radius_reached < 0:
+            detail = "no radius fits, since the identity alone is 1 vertex"
+        else:
+            detail = f"last complete radius was {radius_reached}"
+        super().__init__(f"vertex cap {limit} exceeded; {detail}")
         self.limit = limit
         self.radius_reached = radius_reached
 
@@ -119,6 +125,8 @@ def build_ball(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    if max_vertices < 1:
+        raise ResourceCapError(max_vertices, -1)
     levels: list[list[Word]] = [[IDENTITY]]
     seen: set[Word] = {IDENTITY}
     total = 1

@@ -155,12 +155,21 @@ def _parse_json_graph(text: str) -> DefiningGraph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON graph: {exc}") from None
+    except RecursionError:
+        raise GraphParseError("invalid JSON graph: nested too deeply") from None
     if not isinstance(data, dict) or "vertices" not in data:
         raise GraphParseError('JSON graph must be an object with a "vertices" key')
     vertices = data["vertices"]
     edges = data.get("edges", [])
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise GraphParseError('"vertices" must be a list of strings')
+    if not isinstance(edges, list) or not all(
+        isinstance(edge, list)
+        and len(edge) == 2
+        and all(isinstance(label, str) for label in edge)
+        for edge in edges
+    ):
+        raise GraphParseError('"edges" must be a list of two-string lists')
     if not vertices:
         raise EmptyVertexListError("graph has no generators")
     return DefiningGraph.from_edges(tuple(vertices), edges)
@@ -188,9 +197,10 @@ def parse_graph(text: str) -> DefiningGraph:
     Format A is JSON: ``{"vertices": ["a", "b"], "edges": [["a", "b"]]}``.
     Format B is plain text: the first non-blank line lists the generator
     labels separated by spaces, and every later line names one edge as two
-    labels.  Generator order is the order of appearance.
+    labels.  Generator order is the order of appearance.  Text whose first
+    non-blank character is ``{`` or ``[`` is read as JSON.
     """
-    if text.lstrip().startswith("{"):
+    if text.lstrip()[:1] in ("{", "["):
         return _parse_json_graph(text)
     return _parse_text_graph(text)
 

@@ -11,6 +11,13 @@ subcube on the flipped axes.  Its dimension is |T| minus the number of
 flipped coordinates, and it is a single point exactly when every
 coordinate flips.
 
+The conjugates g^-1 * gamma * g are computed once per vertex by
+``conjugates``, which walks the ball's prefix tree of normal forms: the
+conjugate by w*x is x times the conjugate by w times x, and w comes
+before w*x in shortlex order.  Each step is one normalization of a word
+about as long as the conjugate, instead of a full conjugation by g per
+cube.
+
 The expected picture, verified here on finite balls: one invariant cube,
 based at the identity on the maximum clique itself, carrying an isolated
 fixed point at its center.
@@ -45,21 +52,36 @@ def build_involution(graph: DefiningGraph) -> Involution:
     return Involution(element=tuple(clique), clique=clique, n=len(clique))
 
 
+def conjugates(inv: Involution, ball: Ball) -> dict[Word, Word]:
+    """Map every vertex v within the ball's reliable radius to
+    v^-1 * gamma * v.
+
+    Walks ``ball.vertices`` in shortlex order.  The prefix v[:-1] of a
+    normal form is a normal form that comes earlier in that order, so its
+    conjugate is already known, and the conjugate by v = u*x is
+    x * conj(u) * x.
+    """
+    graph = ball.graph
+    out: dict[Word, Word] = {}
+    for v in ball.vertices:
+        if len(v) > ball.reliable_radius:
+            break
+        out[v] = conjugate(v[-1:], out[v[:-1]], graph) if v else inv.element
+    return out
+
+
 def invariant_cubes(inv: Involution, ball: Ball) -> tuple[Cube, ...]:
     """All reliably-complete cubes mapped to themselves by the involution.
 
     The cube (g, T) is invariant iff g^-1 * gamma * g lies in the subgroup
     spanned by T, i.e. its support is contained in T.
     """
-    graph = ball.graph
-    out = []
-    for cube in ball.cubes:
-        if len(cube.base) > ball.reliable_radius:
-            continue
-        t = conjugate(cube.base, inv.element, graph)
-        if support(t) <= set(cube.axis):
-            out.append(cube)
-    return tuple(out)
+    conj = conjugates(inv, ball)
+    return tuple(
+        cube
+        for cube in ball.cubes
+        if cube.base in conj and support(conj[cube.base]) <= set(cube.axis)
+    )
 
 
 @dataclass(frozen=True)
@@ -110,9 +132,10 @@ def fixed_loci(inv: Involution, ball: Ball) -> FixedPointReport:
     the involution's clique, i.e. the one isolated fixed point.
     """
     graph = ball.graph
+    conj = conjugates(inv, ball)
     loci = []
     for cube in invariant_cubes(inv, ball):
-        t = conjugate(cube.base, inv.element, graph)
+        t = conj[cube.base]
         flipped = tuple(sorted(support(t)))
         flipped_set = set(flipped)
         loci.append(

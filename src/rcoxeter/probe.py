@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 from .davis import Ball, build_ball, sphere
 from .graphs import DefiningGraph
-from .involution import Involution, antipodal_check, build_involution, fixed_loci
+from .involution import (
+    Involution,
+    antipodal_check,
+    build_involution,
+    conjugates,
+    fixed_loci,
+)
 from .spherical import maximum_spherical
 from .words import Word, conjugate, has_order_two, word_to_text
 
@@ -56,13 +62,13 @@ class DisplacementProfile:
 
 def displacement_profile(inv: Involution, ball: Ball) -> DisplacementProfile:
     """Tabulate displacement over each nonempty sphere up to the reliable radius."""
-    graph = ball.graph
+    conj = conjugates(inv, ball)
     radii, mins, maxs, means = [], [], [], []
     for r in range(max(ball.reliable_radius, -1) + 1):
         vertices = sphere(ball, r)
         if not vertices:
             break
-        values = [displacement(inv, v, graph) for v in vertices]
+        values = [len(conj[v]) for v in vertices]
         radii.append(r)
         mins.append(min(values))
         maxs.append(max(values))

@@ -6,15 +6,18 @@ the same element) and is lexicographically least among the geodesics that
 do.  Words are plain tuples of generator indices; the empty tuple is the
 identity.  Every function here that returns a word returns a normal form.
 
-Normalization has two phases.  Appending a generator ``g`` to a geodesic
-word either cancels it against an occurrence of ``g`` whose whole right
-context commutes with ``g`` (the only way the product can shorten) or
-tacks it onto the end, so a left-to-right pass keeps the word geodesic.
-A final pass then extracts, again and again, the least letter whose left
-context commutes with it; since all geodesics of an element differ only by
-swaps of commuting letters, this greedy choice yields the
-lexicographically least geodesic.  Normalizing a word of length k costs
-O(k^2) bitmask steps.
+Normalization is a single left-to-right pass that keeps its output a
+normal form after every letter.  All geodesics of an element differ only
+by swaps of commuting letters, so an element is a heap of pieces and its
+normal form is the greedy, lexicographically least way to read the heap
+off from the bottom.  Appending a generator ``g`` touches only the suffix
+of letters that commute with ``g``: it cancels against an occurrence of
+``g`` right before that suffix (the only way the product can shorten) or
+slides into the suffix in front of its leftmost larger letter.  A letter
+costs one bitmask step per letter of that commuting suffix: one step in
+free products such as ``dinfty``, where no two generators commute, and
+never more than the length of the word, so a word of length k costs
+O(k) steps there and O(k^2) at worst.
 """
 
 from __future__ import annotations
@@ -29,48 +32,30 @@ IDENTITY: Word = ()
 
 
 def _append_letter(out: list[int], g: int, masks: tuple[int, ...]) -> None:
-    """Append generator ``g`` to the geodesic word ``out``, in place.
+    """Replace the normal form ``out`` by the normal form of ``out * g``.
 
-    Scans from the right for an occurrence of ``g`` that commutes with
-    everything after it; such an occurrence exists in one geodesic of the
-    element exactly when it exists in all of them, so cancelling it is
-    safe whatever representative ``out`` happens to be.
+    Only the suffix of letters commuting with ``g`` can be touched.  The
+    scan from the right stops at the first letter that does not commute
+    with ``g``; if that letter is ``g`` itself, nothing after it lies above
+    it in the heap, so deleting it leaves the greedy order of the rest
+    unchanged.  Otherwise ``g`` becomes available right after that letter,
+    and the greedy choice takes it in front of the leftmost larger letter
+    of the suffix, or last if there is none.
     """
-    gbit = 1 << g
-    i = len(out) - 1
-    while i >= 0:
-        letter = out[i]
-        if letter == g:
-            del out[i]
-            return
-        if not masks[letter] & gbit:
+    gmask = masks[g]
+    i = len(out)
+    at = i
+    while i:
+        letter = out[i - 1]
+        if not gmask >> letter & 1:
+            if letter == g:
+                del out[i - 1]
+                return
             break
         i -= 1
-    out.append(g)
-
-
-def _lex_minimize(word: list[int], masks: tuple[int, ...]) -> list[int]:
-    """Least representative of a geodesic word under commuting swaps.
-
-    Greedily fronts the smallest letter whose whole left context commutes
-    with it; a letter occurrence is movable to the front exactly when no
-    earlier letter blocks it, so one left-to-right sweep per output letter
-    suffices.
-    """
-    out = []
-    while word:
-        blocked = 0
-        best = -1
-        best_pos = -1
-        for pos, x in enumerate(word):
-            if not blocked >> x & 1 and (best < 0 or x < best):
-                best, best_pos = x, pos
-            # letters that do not commute with x (x itself included) can
-            # no longer reach the front
-            blocked |= ~masks[x]
-        out.append(best)
-        del word[best_pos]
-    return out
+        if letter > g:
+            at = i
+    out.insert(at, g)
 
 
 def normal_form(letters, graph: DefiningGraph) -> Word:
@@ -90,16 +75,20 @@ def normal_form(letters, graph: DefiningGraph) -> Word:
         if not 0 <= g < n:
             raise ValueError(f"generator index {g} out of range for {graph!r}")
         _append_letter(out, g, masks)
-    return tuple(_lex_minimize(out, masks))
+    return tuple(out)
 
 
 def multiply(x: Word, y: Word, graph: DefiningGraph) -> Word:
-    """Normal form of the product x*y of two normal forms."""
+    """Normal form of the product x*y.
+
+    ``x`` must already be a normal form, since it seeds the word each letter
+    of ``y`` is appended to; ``y`` may be any word over the generators.
+    """
     masks = graph.neighbor_masks
     out = list(x)
     for g in y:
         _append_letter(out, g, masks)
-    return tuple(_lex_minimize(out, masks))
+    return tuple(out)
 
 
 def inverse(x: Word, graph: DefiningGraph) -> Word:

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the normal-form machinery: group
 elements are identified by their exact reflection matrices, which are
 computed by plain matrix products over raw words.  Clique enumeration is
-redone by filtering all subsets.  Expected values frozen into the tests
-were produced by these routines.
+redone by filtering all subsets.  Normal forms are also recomputed by a
+two-phase algorithm (reduce to a geodesic, then sort it greedily), which
+shares no code with the one-pass step in ``rcoxeter.words``.  Expected
+values frozen into the tests were produced by these routines.
 """
 
 from __future__ import annotations
@@ -91,3 +93,69 @@ def random_graph(rng: random.Random, max_vertices: int = 7) -> DefiningGraph:
         if rng.random() < 0.5
     ]
     return DefiningGraph.from_edges(labels, edges)
+
+
+def _append_letter(out: list[int], g: int, masks: tuple[int, ...]) -> None:
+    """Append generator ``g`` to the geodesic word ``out``, in place.
+
+    Scans from the right for an occurrence of ``g`` that commutes with
+    everything after it; such an occurrence exists in one geodesic of the
+    element exactly when it exists in all of them, so cancelling it is
+    safe whatever representative ``out`` happens to be.
+    """
+    gbit = 1 << g
+    i = len(out) - 1
+    while i >= 0:
+        letter = out[i]
+        if letter == g:
+            del out[i]
+            return
+        if not masks[letter] & gbit:
+            break
+        i -= 1
+    out.append(g)
+
+
+def _lex_minimize(word: list[int], masks: tuple[int, ...]) -> list[int]:
+    """Least representative of a geodesic word under commuting swaps.
+
+    Greedily fronts the smallest letter whose whole left context commutes
+    with it; a letter occurrence is movable to the front exactly when no
+    earlier letter blocks it, so one left-to-right sweep per output letter
+    suffices.
+    """
+    out = []
+    while word:
+        blocked = 0
+        best = -1
+        best_pos = -1
+        for pos, x in enumerate(word):
+            if not blocked >> x & 1 and (best < 0 or x < best):
+                best, best_pos = x, pos
+            # letters that do not commute with x (x itself included) can
+            # no longer reach the front
+            blocked |= ~masks[x]
+        out.append(best)
+        del word[best_pos]
+    return out
+
+
+def two_phase_normal_form(letters, graph: DefiningGraph) -> tuple[int, ...]:
+    """Shortlex normal form by the two-phase algorithm: reduce to a
+    geodesic letter by letter, then sort it once with ``_lex_minimize``.
+    Costs O(k^2) for a word of length k."""
+    masks = graph.neighbor_masks
+    out: list[int] = []
+    for g in letters:
+        _append_letter(out, g, masks)
+    return tuple(_lex_minimize(out, masks))
+
+
+def two_phase_multiply(x, y, graph: DefiningGraph) -> tuple[int, ...]:
+    """Normal form of x*y by the two-phase algorithm; x need only be a
+    geodesic."""
+    masks = graph.neighbor_masks
+    out = list(x)
+    for g in y:
+        _append_letter(out, g, masks)
+    return tuple(_lex_minimize(out, masks))

@@ -142,6 +142,15 @@ class TestBallCommands:
         assert out == ""
         assert "cap" in err or "50" in err
 
+    def test_zero_vertex_cap_fits_no_radius(self, capsys):
+        code, out, err = run(
+            capsys, "ball", "--preset", "pentagon", "--radius", "3",
+            "--max-vertices", "0",
+        )
+        assert (code, out) == (3, "")
+        assert "no radius fits" in err
+        assert "last complete radius" not in err
+
 
 class TestCertify:
     def test_pentagon_pass(self, capsys):
@@ -214,6 +223,23 @@ class TestGraphSources:
         code, _, err = run(capsys, "nf", "--graph", str(path), "a")
         assert code == 1
         assert "a" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"vertices":["a","b"],"edges":5}',
+            "[1,2]",
+            '{"vertices":["a","b"],"edges":[{"a":1,"b":2}]}',
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["edges-not-a-list", "top-level-array", "edge-object", "nested-too-deep"],
+    )
+    def test_malformed_json_graph_is_one_line_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "maxclique", "--graph", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("rcoxeter: ") and err.count("\n") == 1
 
     def test_unknown_preset_rejected(self, capsys):
         code, out, err = run(capsys, "nf", "--preset", "heptagon", "a")

@@ -93,6 +93,13 @@ class TestBuildBall:
         assert 0 <= info.value.radius_reached < 6
         assert "50" in str(info.value)
 
+    def test_zero_cap_rejects_even_the_identity(self):
+        for radius in (0, 3):
+            with pytest.raises(ResourceCapError) as info:
+                build_ball(PENTAGON, radius, max_vertices=0)
+            assert info.value.radius_reached == -1
+            assert "no radius fits" in str(info.value)
+
 
 class TestSphere:
     def test_radius_zero_is_identity(self):

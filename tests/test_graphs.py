@@ -51,6 +51,26 @@ def test_parse_json_garbage():
         parse_graph("{not json")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices":["a","b"],"edges":5}',
+        "[1,2]",
+        '{"vertices":["a","b"],"edges":[{"a":1,"b":2}]}',
+        '{"vertices":["a","b"],"edges":[["a","b","a"]]}',
+        '{"vertices":["a","b"],"edges":[["a",1]]}',
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=[
+        "edges-not-a-list", "top-level-array", "edge-object",
+        "edge-of-three", "edge-non-string", "nested-too-deep",
+    ],
+)
+def test_parse_json_schema_violations(text):
+    with pytest.raises(GraphParseError):
+        parse_graph(text)
+
+
 def test_parse_text_format():
     g = parse_graph("a b c\na b\nb c\n")
     assert g.labels == ("a", "b", "c")

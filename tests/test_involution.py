@@ -7,6 +7,8 @@ from rcoxeter import (
     build_ball,
     build_involution,
     canonical_cube,
+    conjugate,
+    conjugates,
     fixed_loci,
     has_order_two,
     invariant_cubes,
@@ -74,6 +76,28 @@ class TestInvariantCubes:
                 t = conjugate(cube.base, inv.element, graph)
                 assert support(t) <= set(cube.axis)
                 assert multiply(t, t, graph) == IDENTITY
+
+
+class TestConjugates:
+    def test_matches_conjugate_within_reliable_radius(self):
+        rng = random.Random(29)
+        cases = [(g, 5) for g in ALL_PRESETS] + [
+            (random_graph(rng), 4) for _ in range(25)
+        ]
+        for graph, radius in cases:
+            inv = build_involution(graph)
+            ball = build_ball(graph, radius)
+            expected = {
+                v: conjugate(v, inv.element, graph)
+                for v in ball.vertices
+                if len(v) <= ball.reliable_radius
+            }
+            assert conjugates(inv, ball) == expected
+
+    def test_negative_radius_is_empty(self):
+        ball = build_ball(GRID, 1)
+        assert ball.reliable_radius < 0
+        assert conjugates(build_involution(GRID), ball) == {}
 
 
 class TestFixedLoci:

@@ -50,6 +50,16 @@ class TestNormalForm:
         with pytest.raises(ValueError, match="out of range"):
             normal_form((2,), SQUARE)
 
+    def test_long_dinfty_word_with_cancelling_pairs(self):
+        rng = random.Random(8000)
+        expected = tuple(k % 2 for k in range(8000))
+        letters = list(expected)
+        for _ in range(500):
+            g = rng.randrange(2)
+            pos = rng.randint(0, len(letters))
+            letters[pos:pos] = (g, g)
+        assert normal_form(letters, DINFTY) == expected
+
     def test_idempotent(self):
         rng = random.Random(7)
         for graph in ALL_PRESETS:
