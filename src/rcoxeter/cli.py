@@ -114,15 +114,12 @@ def _word_out(word, graph: DefiningGraph) -> str:
     return text
 
 
-def _json_only(args) -> None:
+def _run(args) -> tuple[str, int]:
     fmt = getattr(args, "format", "json")
-    if fmt != "json":
+    if fmt != "json" and args.command != "export":
         raise UnsupportedFormatError(
             f"{args.command} output can only be rendered as json, not {fmt!r}"
         )
-
-
-def _run(args) -> tuple[str, int]:
     graph = _load_graph(args)
     if args.command == "nf":
         return _word_out(parse_word(" ".join(args.word), graph), graph) + "\n", 0
@@ -139,15 +136,12 @@ def _run(args) -> tuple[str, int]:
             order = "infinity"
         return order + "\n", 0
     if args.command == "cliques":
-        _json_only(args)
         poset = spherical_poset(graph)
         payload = [[graph.labels[g] for g in clique] for clique in poset]
         return _dump_json(payload), 0
     if args.command == "maxclique":
-        _json_only(args)
         return _dump_json([graph.labels[g] for g in maximum_spherical(graph)]), 0
     if args.command == "gamma":
-        _json_only(args)
         inv = build_involution(graph)
         payload = {
             "gamma": word_to_text(inv.element, graph),
@@ -160,7 +154,6 @@ def _run(args) -> tuple[str, int]:
         return format_report(certificate, args.format), 0 if certificate.verdict else 2
     ball = build_ball(graph, args.radius, max_vertices=args.max_vertices)
     if args.command == "ball":
-        _json_only(args)
         counts = ball.cell_counts()
         payload = {
             "radius": ball.radius,
@@ -171,7 +164,6 @@ def _run(args) -> tuple[str, int]:
         }
         return _dump_json(payload), 0
     if args.command == "cubes":
-        _json_only(args)
         vertex = parse_word(" ".join(args.word), graph)
         grouped = cubes_at_vertex(ball, vertex)
         payload = {

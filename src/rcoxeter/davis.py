@@ -67,7 +67,7 @@ class Cube:
 
 
 class Ball:
-    """A radius-L ball: vertices in shortlex order plus all complete cubes."""
+    """A radius-L ball: shortlex-ordered vertices, complete cubes in sort-key order."""
 
     def __init__(
         self,
@@ -95,9 +95,7 @@ class Ball:
         for cube in cubes:
             for w in cube.vertices(graph):
                 by_vertex[w].append(cube)
-        self._cubes_by_vertex = {
-            w: tuple(sorted(cs, key=Cube.sort_key)) for w, cs in by_vertex.items()
-        }
+        self._cubes_by_vertex = {w: tuple(cs) for w, cs in by_vertex.items()}
 
     def __contains__(self, vertex: Word) -> bool:
         return vertex in self._vertex_set
@@ -119,40 +117,47 @@ def build_ball(
 ) -> Ball:
     """Enumerate the ball of the given radius around the identity.
 
-    Vertices come from a breadth-first sweep of the Cayley graph with
-    normal-form deduplication; cubes are then collected from every vertex
-    that is the minimal representative of a coset fitting inside the ball.
+    Spheres are read off the shortlex automaton.  A normal form w carries
+    two generator bitmasks: ``blocked``, the x for which w*x is not a longer
+    normal form, and ``descents``, the x that shorten w.  Extending each
+    sphere in shortlex order by the unblocked letters in ascending order
+    lists the next sphere once and in shortlex order, and its size is known
+    before it is built, so the vertex cap is checked first.  The cube (w, T)
+    is based at w exactly when T misses descents(w); with the cliques taken
+    lexicographically, cubes come out in ``Cube.sort_key`` order.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if max_vertices < 1:
         raise ResourceCapError(max_vertices, -1)
-    levels: list[list[Word]] = [[IDENTITY]]
-    seen: set[Word] = {IDENTITY}
+    n, masks = graph.n, graph.neighbor_masks
+    letters = [(x, 1 << x) for x in range(n)]
+    # One list per sphere of (normal form, blocked, descents) states.
+    levels = [[(IDENTITY, 0, 0)]]
     total = 1
     for r in range(1, radius + 1):
-        frontier: set[Word] = set()
-        for w in levels[r - 1]:
-            for g in range(graph.n):
-                u = multiply(w, (g,), graph)
-                if len(u) == r and u not in seen:
-                    frontier.add(u)
-        total += len(frontier)
+        parents = levels[-1]
+        total += sum(n - blocked.bit_count() for _, blocked, _ in parents)
         if total > max_vertices:
             raise ResourceCapError(max_vertices, r - 1)
-        seen.update(frontier)
-        levels.append(sorted(frontier))
-    vertices = tuple(w for level in levels for w in level)
+        # After w*x, x is blocked, and so is each letter commuting with x
+        # that was blocked or is smaller than x; the descents are x and
+        # the descents of w commuting with x.
+        levels.append([
+            (w + (x,), bit | masks[x] & (blocked | bit - 1), bit | descents & masks[x])
+            for w, blocked, descents in parents
+            for x, bit in letters
+            if not blocked & bit
+        ])
+    vertices = tuple(w for level in levels for w, _, _ in level)
 
-    cliques = all_cliques(graph)
+    # all_cliques lists by size first; the sort key wants lexicographic.
+    cliques = [(c, sum(1 << t for t in c)) for c in sorted(all_cliques(graph))]
     cubes: list[Cube] = []
-    for w in vertices:
-        for clique in cliques:
-            if len(w) + len(clique) > radius:
-                continue
-            if all(len(multiply(w, (t,), graph)) == len(w) + 1 for t in clique):
-                cubes.append(Cube(w, clique))
-    cubes.sort(key=Cube.sort_key)
+    for r, level in enumerate(levels):
+        fitting = [(c, mask) for c, mask in cliques if len(c) <= radius - r]
+        for w, _, descents in level:
+            cubes.extend(Cube(w, c) for c, mask in fitting if not mask & descents)
     reliable = radius - len(maximum_spherical(graph))
     return Ball(graph, radius, vertices, tuple(cubes), reliable)
 

@@ -170,8 +170,6 @@ def _parse_json_graph(text: str) -> DefiningGraph:
         for edge in edges
     ):
         raise GraphParseError('"edges" must be a list of two-string lists')
-    if not vertices:
-        raise EmptyVertexListError("graph has no generators")
     return DefiningGraph.from_edges(tuple(vertices), edges)
 
 
@@ -180,8 +178,6 @@ def _parse_text_graph(text: str) -> DefiningGraph:
     if not lines:
         raise EmptyVertexListError("graph has no generators")
     labels = tuple(lines[0].split())
-    if not labels:
-        raise EmptyVertexListError("graph has no generators")
     edges = []
     for line in lines[1:]:
         endpoints = line.split()

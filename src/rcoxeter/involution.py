@@ -16,7 +16,8 @@ The conjugates g^-1 * gamma * g are computed once per vertex by
 conjugate by w*x is x times the conjugate by w times x, and w comes
 before w*x in shortlex order.  Each step is one normalization of a word
 about as long as the conjugate, instead of a full conjugation by g per
-cube.
+cube.  ``fixed_loci`` conjugates in full only the bases of the invariant
+cubes, of which there is about one.
 
 The expected picture, verified here on finite balls: one invariant cube,
 based at the identity on the maximum clique itself, carrying an isolated
@@ -132,10 +133,9 @@ def fixed_loci(inv: Involution, ball: Ball) -> FixedPointReport:
     the involution's clique, i.e. the one isolated fixed point.
     """
     graph = ball.graph
-    conj = conjugates(inv, ball)
     loci = []
     for cube in invariant_cubes(inv, ball):
-        t = conj[cube.base]
+        t = conjugate(cube.base, inv.element, graph)
         flipped = tuple(sorted(support(t)))
         flipped_set = set(flipped)
         loci.append(

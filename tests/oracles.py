@@ -5,8 +5,10 @@ elements are identified by their exact reflection matrices, which are
 computed by plain matrix products over raw words.  Clique enumeration is
 redone by filtering all subsets.  Normal forms are also recomputed by a
 two-phase algorithm (reduce to a geodesic, then sort it greedily), which
-shares no code with the one-pass step in ``rcoxeter.words``.  Expected
-values frozen into the tests were produced by these routines.
+shares no code with the one-pass step in ``rcoxeter.words``.  Davis balls
+are rebuilt by a breadth-first search that finds vertices and cubes with
+``multiply`` instead of the shortlex automaton of ``rcoxeter.davis``.
+Expected values frozen into the tests were produced by these routines.
 """
 
 from __future__ import annotations
@@ -15,10 +17,19 @@ import itertools
 import random
 
 from rcoxeter import (
+    IDENTITY,
+    Ball,
+    Cube,
     DefiningGraph,
+    ResourceCapError,
+    all_cliques,
+    canonical_cube,
+    cubes_at_vertex,
     generator_matrix,
     identity_matrix,
     matrix_product,
+    maximum_spherical,
+    multiply,
 )
 
 
@@ -159,3 +170,75 @@ def two_phase_multiply(x, y, graph: DefiningGraph) -> tuple[int, ...]:
     for g in y:
         _append_letter(out, g, masks)
     return tuple(_lex_minimize(out, masks))
+
+
+def bfs_ball(graph: DefiningGraph, radius: int, max_vertices: int = 1_000_000) -> Ball:
+    """The ball found by breadth-first search with set deduplication.
+
+    Vertices are the products w*g of the previous sphere that grow longer
+    and are new; the cube (w, T) is kept when every t in T is an ascent of
+    w, i.e. w*t is longer, and w*W_T fits inside the radius.  Both lists
+    are then sorted.
+    """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if max_vertices < 1:
+        raise ResourceCapError(max_vertices, -1)
+    levels = [[IDENTITY]]
+    seen = {IDENTITY}
+    total = 1
+    for r in range(1, radius + 1):
+        frontier = set()
+        for w in levels[r - 1]:
+            for g in range(graph.n):
+                u = multiply(w, (g,), graph)
+                if len(u) == r and u not in seen:
+                    frontier.add(u)
+        total += len(frontier)
+        if total > max_vertices:
+            raise ResourceCapError(max_vertices, r - 1)
+        seen.update(frontier)
+        levels.append(sorted(frontier))
+    vertices = tuple(w for level in levels for w in level)
+
+    cliques = all_cliques(graph)
+    cubes = []
+    for w in vertices:
+        for clique in cliques:
+            if len(w) + len(clique) > radius:
+                continue
+            if all(len(multiply(w, (t,), graph)) == len(w) + 1 for t in clique):
+                cubes.append(Cube(w, clique))
+    cubes.sort(key=Cube.sort_key)
+    reliable = radius - len(maximum_spherical(graph))
+    return Ball(graph, radius, vertices, tuple(cubes), reliable)
+
+
+def cubes_through(ball: Ball, v) -> dict[int, tuple[Cube, ...]]:
+    """Stored cubes containing v, grouped by dimension and in sort-key order.
+
+    The cube with axis T that contains v is the coset v*W_T, so it is found
+    by canonicalizing that coset for every clique T, without the ball's
+    per-vertex index.
+    """
+    found = []
+    for T in all_cliques(ball.graph):
+        cube = canonical_cube(v, T, ball.graph)
+        if ball.has_cube(cube):
+            found.append(cube)
+    found.sort(key=Cube.sort_key)
+    grouped: dict[int, list[Cube]] = {}
+    for cube in found:
+        grouped.setdefault(cube.dimension, []).append(cube)
+    return {dim: tuple(cubes) for dim, cubes in sorted(grouped.items())}
+
+
+def assert_same_ball(ball: Ball, oracle: Ball) -> None:
+    """Equal vertices, cubes and censuses, and equal cubes at every vertex,
+    boundary vertices included."""
+    assert ball.vertices == oracle.vertices
+    assert ball.cubes == oracle.cubes
+    assert ball.cell_counts() == oracle.cell_counts()
+    assert ball.reliable_radius == oracle.reliable_radius
+    for v in oracle.vertices:
+        assert cubes_at_vertex(ball, v) == cubes_through(oracle, v)

@@ -182,6 +182,16 @@ class TestCertify:
         assert out == ""
         assert "json" in err
 
+    @pytest.mark.parametrize("command", ["ball", "cubes", "fixed", "profile", "certify"])
+    def test_dot_is_rejected_before_the_ball_is_built(self, capsys, command):
+        words = ["e"] if command == "cubes" else []
+        code, out, err = run(
+            capsys, command, "--preset", "pentagon", "--radius", "6",
+            "--max-vertices", "10", "--format", "dot", *words,
+        )
+        assert (code, out) == (1, "")
+        assert "json" in err
+
     def test_radius_precondition_is_usage_error(self, capsys):
         code, _, err = run(capsys, "certify", "--preset", "pentagon", "--radius", "1")
         assert code == 1

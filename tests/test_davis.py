@@ -1,10 +1,13 @@
 import json
+import random
+import tracemalloc
 
 import pytest
 
 from rcoxeter import (
     IDENTITY,
     Cube,
+    DefiningGraph,
     ResourceCapError,
     build_ball,
     canonical_cube,
@@ -17,7 +20,7 @@ from rcoxeter import (
     spherical_poset,
     tits_matrix,
 )
-from oracles import matrix_ball_sphere_sizes
+from oracles import assert_same_ball, bfs_ball, matrix_ball_sphere_sizes, random_graph
 
 SQUARE = preset("square")
 DINFTY = preset("dinfty")
@@ -90,8 +93,23 @@ class TestBuildBall:
         with pytest.raises(ResourceCapError) as info:
             build_ball(PENTAGON, 6, max_vertices=50)
         assert info.value.limit == 50
-        assert 0 <= info.value.radius_reached < 6
+        assert info.value.radius_reached == 2
         assert "50" in str(info.value)
+
+    def test_resource_cap_stops_before_the_sphere_is_built(self):
+        # 24 free generators: spheres of 1, 24, 552, 12,696 and then
+        # 292,008 words, the last far over the cap.
+        labels = tuple(f"g{i}" for i in range(24))
+        free = DefiningGraph.from_edges(labels, [])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError) as info:
+                build_ball(free, 6, max_vertices=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.radius_reached == 3
+        assert peak < 10 * 2**20
 
     def test_zero_cap_rejects_even_the_identity(self):
         for radius in (0, 3):
@@ -99,6 +117,30 @@ class TestBuildBall:
                 build_ball(PENTAGON, radius, max_vertices=0)
             assert info.value.radius_reached == -1
             assert "no radius fits" in str(info.value)
+
+
+class TestAgainstBfsOracle:
+    @pytest.mark.parametrize("graph", ALL_PRESETS, ids=lambda g: " ".join(g.labels))
+    def test_presets(self, graph):
+        for radius in range(7):
+            assert_same_ball(build_ball(graph, radius), bfs_ball(graph, radius))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_graphs(self, seed):
+        graph = random_graph(random.Random(seed))
+        for radius in range(6):
+            assert_same_ball(build_ball(graph, radius), bfs_ball(graph, radius))
+
+    def test_same_cap_errors(self):
+        def outcome(build, graph, cap):
+            try:
+                return len(build(graph, 8, max_vertices=cap).vertices)
+            except ResourceCapError as exc:
+                return str(exc), exc.radius_reached
+
+        for graph in ALL_PRESETS:
+            for cap in (1, 2, 4, 6, 20, 50):
+                assert outcome(build_ball, graph, cap) == outcome(bfs_ball, graph, cap)
 
 
 class TestSphere:

@@ -7,6 +7,7 @@ from rcoxeter import (
     build_ball,
     build_involution,
     canonical_cube,
+    certify,
     conjugate,
     conjugates,
     fixed_loci,
@@ -93,6 +94,21 @@ class TestConjugates:
                 if len(v) <= ball.reliable_radius
             }
             assert conjugates(inv, ball) == expected
+
+    def test_certify_builds_the_map_twice(self, monkeypatch):
+        import rcoxeter.involution as involution_module
+        import rcoxeter.probe as probe_module
+
+        calls = []
+
+        def counted(inv, ball):
+            calls.append(ball.radius)
+            return conjugates(inv, ball)
+
+        monkeypatch.setattr(involution_module, "conjugates", counted)
+        monkeypatch.setattr(probe_module, "conjugates", counted)
+        assert certify(DINFTY, 20).verdict
+        assert calls == [20, 20]
 
     def test_negative_radius_is_empty(self):
         ball = build_ball(GRID, 1)

@@ -1,16 +1,23 @@
-"""Property tests: the one-pass normal form against independent oracles.
+"""Property tests: the one-pass normal form and the automaton-built Davis
+ball against independent oracles.
 
 Graphs have up to 8 generators and words up to 40 letters.  The two-phase
 algorithm in ``oracles`` and the reflection matrices share no code with
-``rcoxeter.words``.  Examples are derandomized so every run checks the
-same cases.
+``rcoxeter.words``; the breadth-first ball in ``oracles`` shares none with
+``rcoxeter.davis.build_ball``.  Examples are derandomized so every run
+checks the same cases.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcoxeter import DefiningGraph, multiply, normal_form, tits_matrix
-from oracles import two_phase_multiply, two_phase_normal_form
+from rcoxeter import DefiningGraph, build_ball, multiply, normal_form, tits_matrix
+from oracles import (
+    assert_same_ball,
+    bfs_ball,
+    two_phase_multiply,
+    two_phase_normal_form,
+)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -63,3 +70,9 @@ def test_normal_forms_agree_with_tits_matrix(case):
     assert tits_matrix(nf, graph) == tits_matrix(x + y, graph)
     product = multiply(normal_form(x, graph), y, graph)
     assert product == nf
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs(), st.integers(0, 5))
+def test_build_ball_matches_bfs_oracle(graph, radius):
+    assert_same_ball(build_ball(graph, radius), bfs_ball(graph, radius))
