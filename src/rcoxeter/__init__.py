@@ -54,10 +54,12 @@ from .spherical import (
 )
 from .davis import (
     Ball,
+    BallCensus,
     Cube,
     FlagCheckReport,
     FlagViolation,
     ResourceCapError,
+    ball_census,
     build_ball,
     canonical_cube,
     cubes_at_vertex,
@@ -87,6 +89,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ball",
+    "BallCensus",
     "Certificate",
     "ChamberComplex",
     "Clique",
@@ -111,6 +114,7 @@ __all__ = [
     "Word",
     "all_cliques",
     "antipodal_check",
+    "ball_census",
     "build_ball",
     "build_involution",
     "canonical_cube",

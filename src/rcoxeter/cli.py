@@ -12,7 +12,15 @@ import json
 import sys
 from pathlib import Path
 
-from .davis import Ball, ResourceCapError, build_ball, cubes_at_vertex, export_complex
+from .davis import (
+    Ball,
+    BallCensus,
+    ResourceCapError,
+    ball_census,
+    build_ball,
+    cubes_at_vertex,
+    export_complex,
+)
 from .graphs import DefiningGraph, GraphParseError, parse_graph, preset, PRESETS
 from .involution import FixedPointReport, build_involution, fixed_loci
 from .probe import Certificate, DisplacementProfile, certify, displacement_profile
@@ -37,7 +45,7 @@ def format_report(value, format: str = "json") -> str:
     """Canonical serialization of a library report, newline-terminated."""
     if isinstance(value, Ball):
         return export_complex(value, format)
-    if isinstance(value, (FixedPointReport, Certificate, DisplacementProfile)):
+    if isinstance(value, (BallCensus, FixedPointReport, Certificate, DisplacementProfile)):
         if format != "json":
             raise UnsupportedFormatError(
                 f"{type(value).__name__} can only be rendered as json, not {format!r}"
@@ -152,17 +160,15 @@ def _run(args) -> tuple[str, int]:
     if args.command == "certify":
         certificate = certify(graph, args.radius, max_vertices=args.max_vertices)
         return format_report(certificate, args.format), 0 if certificate.verdict else 2
+    if args.command in ("ball", "fixed", "profile"):
+        census = ball_census(graph, args.radius, max_vertices=args.max_vertices)
+        if args.command == "ball":
+            return format_report(census, args.format), 0
+        inv = build_involution(graph)
+        if args.command == "fixed":
+            return format_report(fixed_loci(inv, census), args.format), 0
+        return format_report(displacement_profile(inv, census), args.format), 0
     ball = build_ball(graph, args.radius, max_vertices=args.max_vertices)
-    if args.command == "ball":
-        counts = ball.cell_counts()
-        payload = {
-            "radius": ball.radius,
-            "reliable_radius": ball.reliable_radius,
-            "vertex_count": len(ball.vertices),
-            "cells_by_dimension": list(counts),
-            "cells_total": sum(counts),
-        }
-        return _dump_json(payload), 0
     if args.command == "cubes":
         vertex = parse_word(" ".join(args.word), graph)
         grouped = cubes_at_vertex(ball, vertex)
@@ -183,11 +189,6 @@ def _run(args) -> tuple[str, int]:
             ],
         }
         return _dump_json(payload), 0
-    if args.command == "fixed":
-        return format_report(fixed_loci(build_involution(graph), ball), args.format), 0
-    if args.command == "profile":
-        profile = displacement_profile(build_involution(graph), ball)
-        return format_report(profile, args.format), 0
     if args.command == "export":
         return format_report(ball, args.format), 0
     raise AssertionError(f"unhandled command {args.command}")

@@ -11,12 +11,24 @@ Cells straddling the boundary of a ball are unavoidably missing, so
 structural statements are only trusted for bases inside the reliable
 radius, L minus the size of a maximum clique: a cube based there has its
 whole neighborhood present.
+
+The size of a ball is known before any vertex exists.  The growth series
+of the group satisfies 1/W(t) = sum over the cliques T of (-t/(1+t))^|T|
+(Steinberg; Davis, *The Geometry and Topology of Coxeter Groups*, ch. 17),
+so W(t) = (1+t)^k / P(t) with P(t) = sum_T (-t)^|T| (1+t)^(k-|T|), where k
+is the size of a maximum clique.  ``ball_census`` reads the sphere sizes
+and the cube counts off that series, and the vertex cap is enforced there,
+so a run that would exceed it stops before it allocates anything.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import count
+from math import comb
+from operator import mul
+from typing import Callable, Iterator
 
 from .graphs import DefiningGraph
 from .spherical import Clique, _cliques_of_masks, all_cliques, is_spherical, maximum_spherical
@@ -82,11 +94,13 @@ class Ball:
         self.vertices = vertices
         self.cubes = cubes
         self.reliable_radius = reliable_radius
-        # Offsets of each sphere inside the shortlex-sorted vertex list.
-        offsets = [0] * (radius + 2)
+        # Offsets of each nonempty sphere inside the shortlex-sorted vertex
+        # list; the last vertex is a longest one.
+        depth = len(vertices[-1])
+        offsets = [0] * (depth + 2)
         for w in vertices:
             offsets[len(w) + 1] += 1
-        for r in range(1, radius + 2):
+        for r in range(1, depth + 2):
             offsets[r] += offsets[r - 1]
         self._offsets = offsets
         self._vertex_set = frozenset(vertices)
@@ -112,61 +126,176 @@ class Ball:
         return tuple(counts)
 
 
+@dataclass(frozen=True)
+class BallCensus:
+    """The size of a ball, in closed form: no vertex or cube is enumerated.
+
+    ``cells_by_dimension[d]`` is the number of d-cubes the ball stores, the
+    count ``Ball.cell_counts`` takes of an enumerated ball.
+    """
+
+    graph: DefiningGraph
+    radius: int
+    reliable_radius: int
+    vertex_count: int
+    cells_by_dimension: tuple[int, ...]
+
+    def as_dict(self) -> dict:
+        return {
+            "radius": self.radius,
+            "reliable_radius": self.reliable_radius,
+            "vertex_count": self.vertex_count,
+            "cells_by_dimension": list(self.cells_by_dimension),
+            "cells_total": sum(self.cells_by_dimension),
+        }
+
+
+def _lex_cliques(graph: DefiningGraph) -> list[tuple[Clique, int]]:
+    """Every clique with its generator bitmask, in lexicographic order."""
+    return [(c, sum(1 << t for t in c)) for c in sorted(all_cliques(graph))]
+
+
+def _growth_columns(by_size: list[int]) -> Iterator[list[int]]:
+    """Yield, for l = 0, 1, 2, ..., the coefficients [t^l] (1+t)^j / P(t)
+    for j = 0..k, where ``by_size[d]`` counts the d-cliques.
+
+    Entry j is the number of elements of length l whose descents miss a
+    given (k-j)-clique T, the minimal representatives of the cosets of W_T,
+    since W(t) = W^T(t) * (1+t)^|T|.  Entry k is the size of sphere l.
+    1/P(t) follows the order-k recurrence of its denominator, and each
+    further factor 1+t adds the previous column.
+    """
+    k = len(by_size) - 1
+    # [t^1], ..., [t^k] of P(t); [t^0] is 1, from the empty clique.
+    p = [
+        sum((-1) ** d * c * comb(k - d, i - d) for d, c in enumerate(by_size[: i + 1]))
+        for i in range(1, k + 1)
+    ]
+    recent = [0] * k  # [t^(l-1)], ..., [t^(l-k)] of 1/P(t)
+    column = [0] * (k + 1)
+    for l in count():
+        q = int(l == 0) - sum(map(mul, p, recent))
+        recent = [q] + recent[:-1]
+        nxt = [q]
+        for j in range(k):
+            nxt.append(nxt[j] + column[j])
+        column = nxt
+        yield column
+
+
+def ball_census(
+    graph: DefiningGraph, radius: int, max_vertices: int = 1_000_000
+) -> BallCensus:
+    """Count the vertices and cubes of the ball of the given radius.
+
+    Raises ``ResourceCapError`` when the ball has more than ``max_vertices``
+    vertices, with the largest radius that fits, before anything sized by
+    the ball is allocated.
+    """
+    return _census(graph, radius, max_vertices, _lex_cliques(graph))
+
+
+def _census(
+    graph: DefiningGraph,
+    radius: int,
+    max_vertices: int,
+    cliques: list[tuple[Clique, int]],
+) -> BallCensus:
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if max_vertices < 1:
+        raise ResourceCapError(max_vertices, -1)
+    k = len(maximum_spherical(graph))
+    by_size = [0] * (k + 1)
+    for c, _ in cliques:
+        by_size[len(c)] += 1
+    vertices = 0
+    # sums[j]: the (k-j)-cubes per axis, i.e. the coset representatives of
+    # length at most radius - (k-j), so that the whole cube fits.
+    sums = [0] * (k + 1)
+    for r, column in enumerate(_growth_columns(by_size)):
+        # An empty sphere means a finite group: every later one is empty.
+        if r > radius or not column[k]:
+            break
+        vertices += column[k]
+        if vertices > max_vertices:
+            raise ResourceCapError(max_vertices, r - 1)
+        for j in range(max(k - radius + r, 0), k + 1):
+            sums[j] += column[j]
+    cells = tuple(c * s for c, s in zip(by_size, reversed(sums)))
+    return BallCensus(graph, radius, radius - k, vertices, cells[: radius + 1])
+
+
+def _spheres(
+    graph: DefiningGraph, radius: int, extra, carry: Callable
+) -> Iterator[list[tuple]]:
+    """Yield the spheres 0..radius of shortlex-automaton states, stopping at
+    the first empty one.
+
+    A state is (w, blocked, descents, extra) for a normal form w.
+    ``blocked`` holds the generators x for which w*x is not a longer normal
+    form, and ``descents`` the x that shorten w.  Extending a sphere in
+    shortlex order by the unblocked letters in ascending order lists the
+    next sphere once and in shortlex order.  ``extra`` is the caller's: the
+    identity carries the given one, and w*x carries ``carry(extra of w, x)``.
+    """
+    if radius < 0:
+        return
+    masks = graph.neighbor_masks
+    letters = [(x, 1 << x) for x in range(graph.n)]
+    level = [(IDENTITY, 0, 0, extra)]
+    yield level
+    for _ in range(radius):
+        # After w*x, x is blocked, and so is each letter commuting with x
+        # that was blocked or is smaller than x; the descents are x and
+        # the descents of w commuting with x.
+        level = [
+            (
+                w + (x,),
+                bit | masks[x] & (blocked | bit - 1),
+                bit | descents & masks[x],
+                carry(extra, x),
+            )
+            for w, blocked, descents, extra in level
+            for x, bit in letters
+            if not blocked & bit
+        ]
+        if not level:
+            return
+        yield level
+
+
 def build_ball(
     graph: DefiningGraph, radius: int, max_vertices: int = 1_000_000
 ) -> Ball:
     """Enumerate the ball of the given radius around the identity.
 
-    Spheres are read off the shortlex automaton.  A normal form w carries
-    two generator bitmasks: ``blocked``, the x for which w*x is not a longer
-    normal form, and ``descents``, the x that shorten w.  Extending each
-    sphere in shortlex order by the unblocked letters in ascending order
-    lists the next sphere once and in shortlex order, and its size is known
-    before it is built, so the vertex cap is checked first.  The cube (w, T)
-    is based at w exactly when T misses descents(w); with the cliques taken
-    lexicographically, cubes come out in ``Cube.sort_key`` order.
+    The vertex cap is checked by the census first.  Spheres are then read
+    off the shortlex automaton, up to the radius or the first empty one.
+    The cube (w, T) is based at w exactly when T misses descents(w); with
+    the cliques taken lexicographically, cubes come out in
+    ``Cube.sort_key`` order.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if max_vertices < 1:
-        raise ResourceCapError(max_vertices, -1)
-    n, masks = graph.n, graph.neighbor_masks
-    letters = [(x, 1 << x) for x in range(n)]
-    # One list per sphere of (normal form, blocked, descents) states.
-    levels = [[(IDENTITY, 0, 0)]]
-    total = 1
-    for r in range(1, radius + 1):
-        parents = levels[-1]
-        total += sum(n - blocked.bit_count() for _, blocked, _ in parents)
-        if total > max_vertices:
-            raise ResourceCapError(max_vertices, r - 1)
-        # After w*x, x is blocked, and so is each letter commuting with x
-        # that was blocked or is smaller than x; the descents are x and
-        # the descents of w commuting with x.
-        levels.append([
-            (w + (x,), bit | masks[x] & (blocked | bit - 1), bit | descents & masks[x])
-            for w, blocked, descents in parents
-            for x, bit in letters
-            if not blocked & bit
-        ])
-    vertices = tuple(w for level in levels for w, _, _ in level)
-
-    # all_cliques lists by size first; the sort key wants lexicographic.
-    cliques = [(c, sum(1 << t for t in c)) for c in sorted(all_cliques(graph))]
+    cliques = _lex_cliques(graph)
+    census = _census(graph, radius, max_vertices, cliques)
+    levels = list(_spheres(graph, radius, None, lambda extra, x: None))
+    vertices = tuple(w for level in levels for w, _, _, _ in level)
     cubes: list[Cube] = []
     for r, level in enumerate(levels):
         fitting = [(c, mask) for c, mask in cliques if len(c) <= radius - r]
-        for w, _, descents in level:
+        for w, _, descents, _ in level:
             cubes.extend(Cube(w, c) for c, mask in fitting if not mask & descents)
-    reliable = radius - len(maximum_spherical(graph))
-    return Ball(graph, radius, vertices, tuple(cubes), reliable)
+    return Ball(graph, radius, vertices, tuple(cubes), census.reliable_radius)
 
 
 def sphere(ball: Ball, r: int) -> tuple[Word, ...]:
     """Vertices at distance exactly r, in shortlex order."""
     if not 0 <= r <= ball.radius:
         raise ValueError(f"sphere radius {r} out of range 0..{ball.radius}")
-    return ball.vertices[ball._offsets[r] : ball._offsets[r + 1]]
+    offsets = ball._offsets
+    if r + 1 >= len(offsets):
+        return ()
+    return ball.vertices[offsets[r] : offsets[r + 1]]
 
 
 def canonical_cube(g: Word, axis, graph: DefiningGraph) -> Cube:

@@ -11,13 +11,15 @@ subcube on the flipped axes.  Its dimension is |T| minus the number of
 flipped coordinates, and it is a single point exactly when every
 coordinate flips.
 
-The conjugates g^-1 * gamma * g are computed once per vertex by
-``conjugates``, which walks the ball's prefix tree of normal forms: the
-conjugate by w*x is x times the conjugate by w times x, and w comes
-before w*x in shortlex order.  Each step is one normalization of a word
-about as long as the conjugate, instead of a full conjugation by g per
-cube.  ``fixed_loci`` conjugates in full only the bases of the invariant
-cubes, of which there is about one.
+Everything here reads the vertices of length at most the reliable radius,
+R - k for a ball of radius R and a maximum clique of size k, and nothing
+else.  ``sphere_states`` walks them sphere by sphere off the shortlex
+automaton of ``davis`` and carries each vertex's conjugate along: the
+conjugate by w*x is x times the conjugate by w times x, one normalization
+of a word about as long as the conjugate.  Only the current sphere is
+kept, and no ``Ball`` is needed: the functions below take a ball or its
+census and read only its graph and radius.  ``fixed_loci`` conjugates in
+full only the bases of the invariant cubes, of which there is about one.
 
 The expected picture, verified here on finite balls: one invariant cube,
 based at the identity on the maximum clique itself, carrying an isolated
@@ -27,8 +29,9 @@ fixed point at its center.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .davis import Ball, Cube, canonical_cube
+from .davis import Ball, BallCensus, Cube, _lex_cliques, _spheres, canonical_cube
 from .graphs import DefiningGraph
 from .spherical import Clique, maximum_spherical
 from .words import IDENTITY, Word, conjugate, multiply, support, word_to_text
@@ -53,36 +56,52 @@ def build_involution(graph: DefiningGraph) -> Involution:
     return Involution(element=tuple(clique), clique=clique, n=len(clique))
 
 
-def conjugates(inv: Involution, ball: Ball) -> dict[Word, Word]:
-    """Map every vertex v within the ball's reliable radius to
-    v^-1 * gamma * v.
+def sphere_states(
+    inv: Involution, ball: Ball | BallCensus
+) -> Iterator[list[tuple[Word, int, int, Word]]]:
+    """Yield the spheres 0, 1, ... up to the reliable radius, as lists of
+    ``(word, blocked, descents, conj)`` automaton states in shortlex order,
+    where conj is word^-1 * gamma * word.
 
-    Walks ``ball.vertices`` in shortlex order.  The prefix v[:-1] of a
-    normal form is a normal form that comes earlier in that order, so its
-    conjugate is already known, and the conjugate by v = u*x is
-    x * conj(u) * x.
+    Stops at the first empty sphere.  See ``davis._spheres`` for the other
+    three fields.
     """
     graph = ball.graph
-    out: dict[Word, Word] = {}
-    for v in ball.vertices:
-        if len(v) > ball.reliable_radius:
-            break
-        out[v] = conjugate(v[-1:], out[v[:-1]], graph) if v else inv.element
-    return out
+
+    def step(conj: Word, x: int) -> Word:
+        return conjugate((x,), conj, graph)
+
+    return _spheres(graph, ball.radius - inv.n, inv.element, step)
 
 
-def invariant_cubes(inv: Involution, ball: Ball) -> tuple[Cube, ...]:
-    """All reliably-complete cubes mapped to themselves by the involution.
+def conjugates(inv: Involution, ball: Ball | BallCensus) -> dict[Word, Word]:
+    """Map every vertex v within the reliable radius to v^-1 * gamma * v."""
+    return {w: conj for level in sphere_states(inv, ball) for w, _, _, conj in level}
+
+
+def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...]:
+    """All reliably-complete cubes mapped to themselves by the involution,
+    in the order of ``Ball.cubes``.
 
     The cube (g, T) is invariant iff g^-1 * gamma * g lies in the subgroup
-    spanned by T, i.e. its support is contained in T.
+    spanned by T, i.e. its support is contained in T.  An element of that
+    subgroup is a product of distinct commuting generators, so a conjugate
+    longer than the clique is skipped at once.
     """
-    conj = conjugates(inv, ball)
-    return tuple(
-        cube
-        for cube in ball.cubes
-        if cube.base in conj and support(conj[cube.base]) <= set(cube.axis)
-    )
+    cliques = _lex_cliques(ball.graph)
+    found: list[Cube] = []
+    for r, level in enumerate(sphere_states(inv, ball)):
+        fitting = [(c, mask) for c, mask in cliques if len(c) <= ball.radius - r]
+        for w, _, descents, conj in level:
+            if len(conj) > inv.n:
+                continue
+            flips = sum(1 << g for g in set(conj))
+            found.extend(
+                Cube(w, c)
+                for c, mask in fitting
+                if not mask & descents and not flips & ~mask
+            )
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -125,7 +144,7 @@ class FixedPointReport:
         }
 
 
-def fixed_loci(inv: Involution, ball: Ball) -> FixedPointReport:
+def fixed_loci(inv: Involution, ball: Ball | BallCensus) -> FixedPointReport:
     """Locate every fixed locus and judge whether it is the expected point.
 
     ``unique_point`` holds exactly when there is a single locus, it is
@@ -158,7 +177,7 @@ def fixed_loci(inv: Involution, ball: Ball) -> FixedPointReport:
         involution=inv,
         loci=tuple(loci),
         unique_point=unique,
-        radius_examined=ball.reliable_radius,
+        radius_examined=ball.radius - inv.n,
     )
 
 

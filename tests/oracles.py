@@ -7,8 +7,11 @@ redone by filtering all subsets.  Normal forms are also recomputed by a
 two-phase algorithm (reduce to a geodesic, then sort it greedily), which
 shares no code with the one-pass step in ``rcoxeter.words``.  Davis balls
 are rebuilt by a breadth-first search that finds vertices and cubes with
-``multiply`` instead of the shortlex automaton of ``rcoxeter.davis``.
-Expected values frozen into the tests were produced by these routines.
+``multiply`` instead of the shortlex automaton of ``rcoxeter.davis``.  The
+conjugates, invariant cubes and displacement profile of the involution are
+recomputed by walking an enumerated ball, where the library streams the
+automaton's spheres without one.  Expected values frozen into the tests
+were produced by these routines.
 """
 
 from __future__ import annotations
@@ -21,15 +24,20 @@ from rcoxeter import (
     Ball,
     Cube,
     DefiningGraph,
+    DisplacementProfile,
+    Involution,
     ResourceCapError,
     all_cliques,
     canonical_cube,
+    conjugate,
     cubes_at_vertex,
     generator_matrix,
     identity_matrix,
     matrix_product,
     maximum_spherical,
     multiply,
+    sphere,
+    support,
 )
 
 
@@ -242,3 +250,57 @@ def assert_same_ball(ball: Ball, oracle: Ball) -> None:
     assert ball.reliable_radius == oracle.reliable_radius
     for v in oracle.vertices:
         assert cubes_at_vertex(ball, v) == cubes_through(oracle, v)
+
+
+def walked_conjugates(inv: Involution, ball: Ball) -> dict:
+    """Map every vertex v of an enumerated ball within its reliable radius
+    to v^-1 * gamma * v.
+
+    Walks ``ball.vertices`` in shortlex order.  The prefix v[:-1] of a
+    normal form is a normal form that comes earlier in that order, so its
+    conjugate is already known, and the conjugate by v = u*x is
+    x * conj(u) * x.
+    """
+    graph = ball.graph
+    out: dict = {}
+    for v in ball.vertices:
+        if len(v) > ball.reliable_radius:
+            break
+        out[v] = conjugate(v[-1:], out[v[:-1]], graph) if v else inv.element
+    return out
+
+
+def filtered_invariant_cubes(inv: Involution, ball: Ball) -> tuple[Cube, ...]:
+    """The stored cubes (g, T) based within the reliable radius whose
+    conjugate g^-1 * gamma * g has its support in T."""
+    conj = walked_conjugates(inv, ball)
+    return tuple(
+        cube
+        for cube in ball.cubes
+        if cube.base in conj and support(conj[cube.base]) <= set(cube.axis)
+    )
+
+
+def walked_profile(inv: Involution, ball: Ball) -> DisplacementProfile:
+    """Displacement per nonempty sphere up to the reliable radius, read off
+    the enumerated ball's spheres."""
+    conj = walked_conjugates(inv, ball)
+    radii, mins, maxs, means = [], [], [], []
+    for r in range(max(ball.reliable_radius, -1) + 1):
+        vertices = sphere(ball, r)
+        if not vertices:
+            break
+        values = [len(conj[v]) for v in vertices]
+        radii.append(r)
+        mins.append(min(values))
+        maxs.append(max(values))
+        means.append(sum(values) / len(values))
+    return DisplacementProfile(tuple(radii), tuple(mins), tuple(maxs), tuple(means))
+
+
+def complete_graph(n: int) -> DefiningGraph:
+    """K_n: the defining graph of the finite group (Z/2)^n."""
+    labels = tuple(f"x{i}" for i in range(n))
+    return DefiningGraph.from_edges(
+        labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
+    )

@@ -152,6 +152,43 @@ class TestBallCommands:
         assert "last complete radius" not in err
 
 
+class TestBallsBuilt:
+    @pytest.mark.parametrize(
+        "command, built",
+        [
+            ("ball", 0), ("fixed", 0), ("profile", 0), ("certify", 0),
+            ("cubes", 1), ("export", 1),
+        ],
+    )
+    def test_only_cubes_and_export_build_a_ball(self, capsys, monkeypatch, command, built):
+        import rcoxeter.davis as davis_module
+
+        balls = []
+        real_init = davis_module.Ball.__init__
+
+        def counted_init(self, *args, **kwargs):
+            balls.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(davis_module.Ball, "__init__", counted_init)
+        words = ["e"] if command == "cubes" else []
+        code, out, _ = run(capsys, command, "--preset", "pentagon", "--radius", "5", *words)
+        assert code == 0 and out
+        assert len(balls) == built
+
+    def test_huge_radius_on_a_line_exits_three_at_once(self, capsys):
+        code, out, err = run(capsys, "ball", "--preset", "dinfty", "--radius", "100000000")
+        assert (code, out) == (3, "")
+        assert err == (
+            "rcoxeter: vertex cap 1000000 exceeded; last complete radius was 499999\n"
+        )
+
+    def test_huge_radius_on_a_finite_group(self, capsys):
+        code, out, _ = run(capsys, "ball", "--preset", "square", "--radius", "3000000")
+        assert code == 0
+        assert json.loads(out)["vertex_count"] == 4
+
+
 class TestCertify:
     def test_pentagon_pass(self, capsys):
         code, out, _ = run(capsys, "certify", "--preset", "pentagon", "--radius", "5")

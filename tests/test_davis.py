@@ -9,8 +9,10 @@ from rcoxeter import (
     Cube,
     DefiningGraph,
     ResourceCapError,
+    ball_census,
     build_ball,
     canonical_cube,
+    certify,
     cubes_at_vertex,
     export_complex,
     links_flag_check,
@@ -20,7 +22,13 @@ from rcoxeter import (
     spherical_poset,
     tits_matrix,
 )
-from oracles import assert_same_ball, bfs_ball, matrix_ball_sphere_sizes, random_graph
+from oracles import (
+    assert_same_ball,
+    bfs_ball,
+    complete_graph,
+    matrix_ball_sphere_sizes,
+    random_graph,
+)
 
 SQUARE = preset("square")
 DINFTY = preset("dinfty")
@@ -117,6 +125,129 @@ class TestBuildBall:
                 build_ball(PENTAGON, radius, max_vertices=0)
             assert info.value.radius_reached == -1
             assert "no radius fits" in str(info.value)
+
+
+class TestCapBeforeAllocation:
+    """The census raises the cap error before any automaton state exists."""
+
+    @staticmethod
+    def traced_cap_error(build, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError) as info:
+                build(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return info.value, peak
+
+    def test_line_at_a_huge_radius(self):
+        # dinfty has 2r + 1 vertices within radius r.
+        with pytest.raises(ResourceCapError) as info:
+            build_ball(DINFTY, 10**8)
+        assert info.value.radius_reached == 499_999
+        assert str(info.value) == (
+            "vertex cap 1000000 exceeded; last complete radius was 499999"
+        )
+        # Tracing allocations slows the census loop about fifteenfold, so
+        # the traced run takes a smaller cap; a ball of radius 9,999 would
+        # still hold some 800 MB of words.
+        error, peak = self.traced_cap_error(build_ball, DINFTY, 10**8, max_vertices=20_000)
+        assert error.radius_reached == 9_999
+        assert peak < 2**20
+
+    def test_pentagon_at_radius_forty(self):
+        for build in (build_ball, ball_census, certify):
+            error, peak = self.traced_cap_error(build, PENTAGON, 40)
+            assert error.radius_reached == 13
+            assert str(error) == "vertex cap 1000000 exceeded; last complete radius was 13"
+            assert peak < 2**20
+
+
+class TestFiniteGroupAtHugeRadius:
+    def test_build_stops_at_the_first_empty_sphere(self):
+        tracemalloc.start()
+        try:
+            ball = build_ball(SQUARE, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert ball.vertices == ((), (0,), (1,), (0, 1))
+        assert ball.cell_counts() == (4, 4, 1)
+        assert ball.reliable_radius == 10**7 - 2
+        assert sphere(ball, 2) == ((0, 1),)
+        assert sphere(ball, 3) == sphere(ball, 10**7) == ()
+        with pytest.raises(ValueError):
+            sphere(ball, 10**7 + 1)
+
+    def test_certify_square(self):
+        certificate = certify(SQUARE, 10**6)
+        assert certificate.verdict
+        assert certificate.reliable_radius == 10**6 - 2
+
+
+class TestCensus:
+    @staticmethod
+    def assert_matches_ball(graph, radius):
+        ball = build_ball(graph, radius)
+        census = ball_census(graph, radius)
+        assert census.vertex_count == len(ball.vertices)
+        assert census.cells_by_dimension == ball.cell_counts()
+        assert census.reliable_radius == ball.reliable_radius
+        assert census.radius == radius
+        assert census.as_dict() == {
+            "radius": radius,
+            "reliable_radius": ball.reliable_radius,
+            "vertex_count": len(ball.vertices),
+            "cells_by_dimension": list(ball.cell_counts()),
+            "cells_total": len(ball.cubes),
+        }
+
+    @staticmethod
+    def sphere_sizes(graph, radius):
+        counts = [ball_census(graph, r).vertex_count for r in range(radius + 1)]
+        return [b - a for a, b in zip([0] + counts, counts)]
+
+    def test_presets_and_complete_graphs(self):
+        for graph in ALL_PRESETS + (complete_graph(3), complete_graph(5)):
+            for radius in range(9):
+                self.assert_matches_ball(graph, radius)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_graphs(self, seed):
+        graph = random_graph(random.Random(seed))
+        for radius in range(6):
+            self.assert_matches_ball(graph, radius)
+
+    def test_sphere_sizes_match_the_ball_and_matrix_bfs(self):
+        for graph, radius in ((SQUARE, 4), (DINFTY, 6), (PENTAGON, 4), (GRID, 5)):
+            ball = build_ball(graph, radius)
+            sizes = self.sphere_sizes(graph, radius)
+            assert sizes == [len(sphere(ball, r)) for r in range(radius + 1)]
+            assert sizes == matrix_ball_sphere_sizes(graph, radius)
+
+    def test_radii_out_of_the_balls_reach(self):
+        line = ball_census(DINFTY, 10**4)
+        assert line.vertex_count == 2 * 10**4 + 1
+        assert line.cells_by_dimension == (2 * 10**4 + 1, 2 * 10**4)
+        # pentagon: W(t) = (1+t)^2 / (1 - 3t + t^2)
+        assert self.sphere_sizes(PENTAGON, 12)[9:] == [12_920, 33_825, 88_555, 231_840]
+        # the group of the square is (Z/2)^2 whatever the radius
+        assert ball_census(SQUARE, 10**9).as_dict() == {
+            "radius": 10**9,
+            "reliable_radius": 10**9 - 2,
+            "vertex_count": 4,
+            "cells_by_dimension": [4, 4, 1],
+            "cells_total": 9,
+        }
+
+    def test_argument_errors_match_build_ball(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ball_census(SQUARE, -1)
+        with pytest.raises(ResourceCapError) as info:
+            ball_census(PENTAGON, 6, max_vertices=50)
+        assert info.value.radius_reached == 2
 
 
 class TestAgainstBfsOracle:

@@ -1,15 +1,19 @@
 import random
 
+import pytest
+
 from rcoxeter import (
     IDENTITY,
     Cube,
     antipodal_check,
+    ball_census,
     build_ball,
     build_involution,
     canonical_cube,
     certify,
     conjugate,
     conjugates,
+    displacement_profile,
     fixed_loci,
     has_order_two,
     invariant_cubes,
@@ -17,7 +21,13 @@ from rcoxeter import (
     preset,
     support,
 )
-from oracles import random_graph
+from oracles import (
+    complete_graph,
+    filtered_invariant_cubes,
+    random_graph,
+    walked_conjugates,
+    walked_profile,
+)
 
 SQUARE = preset("square")
 DINFTY = preset("dinfty")
@@ -95,25 +105,72 @@ class TestConjugates:
             }
             assert conjugates(inv, ball) == expected
 
-    def test_certify_builds_the_map_twice(self, monkeypatch):
+    def test_certify_builds_no_ball_and_no_conjugate_map(self, monkeypatch):
+        import rcoxeter.davis as davis_module
         import rcoxeter.involution as involution_module
-        import rcoxeter.probe as probe_module
 
-        calls = []
+        balls, maps = [], []
+        real_init = davis_module.Ball.__init__
+
+        def counted_init(self, *args, **kwargs):
+            balls.append(args)
+            real_init(self, *args, **kwargs)
 
         def counted(inv, ball):
-            calls.append(ball.radius)
+            maps.append(ball.radius)
             return conjugates(inv, ball)
 
+        monkeypatch.setattr(davis_module.Ball, "__init__", counted_init)
         monkeypatch.setattr(involution_module, "conjugates", counted)
-        monkeypatch.setattr(probe_module, "conjugates", counted)
-        assert certify(DINFTY, 20).verdict
-        assert calls == [20, 20]
+        for graph in ALL_PRESETS:
+            assert certify(graph, 6).verdict
+        assert balls == []
+        assert maps == []
 
     def test_negative_radius_is_empty(self):
         ball = build_ball(GRID, 1)
         assert ball.reliable_radius < 0
         assert conjugates(build_involution(GRID), ball) == {}
+
+
+class TestStreamingAgainstBallWalk:
+    """The sphere-by-sphere walk against references that walk an
+    enumerated ball, given the ball itself and given its census."""
+
+    @staticmethod
+    def assert_same(graph, radius):
+        inv = build_involution(graph)
+        ball = build_ball(graph, radius)
+        census = ball_census(graph, radius)
+        cubes = filtered_invariant_cubes(inv, ball)
+        profile = walked_profile(inv, ball)
+        assert conjugates(inv, ball) == walked_conjugates(inv, ball)
+        assert conjugates(inv, census) == walked_conjugates(inv, ball)
+        reports = []
+        for source in (ball, census):
+            assert invariant_cubes(inv, source) == cubes
+            report = fixed_loci(inv, source)
+            assert tuple(locus.cube for locus in report.loci) == cubes
+            assert report.radius_examined == ball.reliable_radius
+            assert displacement_profile(inv, source) == profile
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("graph", ALL_PRESETS, ids=lambda g: " ".join(g.labels))
+    def test_presets(self, graph):
+        for radius in range(9):
+            self.assert_same(graph, radius)
+
+    @pytest.mark.parametrize("n", (3, 5, 8))
+    def test_complete_graphs(self, n):
+        for radius in range(10):
+            self.assert_same(complete_graph(n), radius)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_graphs(self, seed):
+        graph = random_graph(random.Random(seed))
+        for radius in (2, 4, 6):
+            self.assert_same(graph, radius)
 
 
 class TestFixedLoci:

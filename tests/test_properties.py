@@ -1,5 +1,5 @@
 """Property tests: the one-pass normal form and the automaton-built Davis
-ball against independent oracles.
+ball against independent oracles, and the closed form of the displacement.
 
 Graphs have up to 8 generators and words up to 40 letters.  The two-phase
 algorithm in ``oracles`` and the reflection matrices share no code with
@@ -11,7 +11,19 @@ checks the same cases.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcoxeter import DefiningGraph, build_ball, multiply, normal_form, tits_matrix
+from rcoxeter import (
+    DefiningGraph,
+    ball_census,
+    build_ball,
+    build_involution,
+    displacement_profile,
+    fixed_loci,
+    maximum_spherical,
+    multiply,
+    normal_form,
+    preset,
+    tits_matrix,
+)
 from oracles import (
     assert_same_ball,
     bfs_ball,
@@ -76,3 +88,28 @@ def test_normal_forms_agree_with_tits_matrix(case):
 @given(graphs(), st.integers(0, 5))
 def test_build_ball_matches_bfs_oracle(graph, radius):
     assert_same_ball(build_ball(graph, radius), bfs_ball(graph, radius))
+
+
+def assert_closed_form_displacement(graph, radius):
+    """Sphere r moves by at least max(k, 2r - k) and at most 2r + k, both
+    attained, on every sphere up to the reliable radius, and the involution
+    has exactly one fixed locus there."""
+    k = len(maximum_spherical(graph))
+    inv = build_involution(graph)
+    census = ball_census(graph, radius)
+    profile = displacement_profile(inv, census)
+    assert profile.radii == tuple(range(radius - k + 1))
+    assert profile.mins == tuple(max(k, 2 * r - k) for r in profile.radii)
+    assert profile.maxs == tuple(2 * r + k for r in profile.radii)
+    assert len(fixed_loci(inv, census).loci) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graphs(max_generators=6).filter(lambda g: not g.is_complete), st.integers(5, 7))
+def test_displacement_closed_form(graph, extra):
+    assert_closed_form_displacement(graph, len(maximum_spherical(graph)) + extra)
+
+
+def test_displacement_closed_form_at_large_radii():
+    for name, radius in (("pentagon", 12), ("grid", 20), ("dinfty", 400)):
+        assert_closed_form_displacement(preset(name), radius)
