@@ -36,7 +36,6 @@ from .words import (
 )
 from .reflection import (
     Matrix,
-    determinant,
     generator_matrix,
     identity_matrix,
     matrix_product,
@@ -123,7 +122,6 @@ __all__ = [
     "conjugate",
     "conjugates",
     "cubes_at_vertex",
-    "determinant",
     "displacement",
     "displacement_profile",
     "export_complex",

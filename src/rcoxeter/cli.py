@@ -199,6 +199,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         text, code = _run(args)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -210,10 +214,6 @@ def main(argv=None) -> int:
     except (GraphParseError, ValueError, OSError) as exc:
         print(f"rcoxeter: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from itertools import count
 from math import comb
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .graphs import DefiningGraph
-from .spherical import Clique, _cliques_of_masks, all_cliques, is_spherical, maximum_spherical
+from .spherical import Clique, _cliques_of_masks, _mask_of, all_cliques, maximum_spherical
 from .words import IDENTITY, Word, multiply, word_to_text
 
 
@@ -52,13 +52,13 @@ class ResourceCapError(RuntimeError):
         self.radius_reached = radius_reached
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(NamedTuple):
     """A cell of the complex: a coset in canonical form.
 
     ``base`` is the unique shortest element of the coset and ``axis`` the
     clique spanning the finite subgroup; the cube's 2^k vertices are the
-    products of ``base`` with the subsets of ``axis``.
+    products of ``base`` with the subsets of ``axis``.  A cube is the tuple
+    (base, axis), so it compares equal to that plain tuple.
     """
 
     base: Word
@@ -74,12 +74,15 @@ class Cube:
             out.extend(multiply(w, (g,), graph) for w in list(out))
         return tuple(out)
 
-    def sort_key(self):
-        return (len(self.base), self.base, self.axis)
-
 
 class Ball:
-    """A radius-L ball: shortlex-ordered vertices, complete cubes in sort-key order."""
+    """A radius-L ball: shortlex-ordered vertices and complete cubes, sorted
+    by base length, then base, then axis.
+
+    Each vertex indexes the cubes containing it in one list per dimension,
+    0 up to the top dimension, each list in ``cubes`` order; the keys of
+    that index are the vertex set.
+    """
 
     def __init__(
         self,
@@ -103,16 +106,17 @@ class Ball:
         for r in range(1, depth + 2):
             offsets[r] += offsets[r - 1]
         self._offsets = offsets
-        self._vertex_set = frozenset(vertices)
         self._cube_set = frozenset(cubes)
-        by_vertex: dict[Word, list[Cube]] = {w: [] for w in vertices}
+        dimensions = range(max((len(axis) for _, axis in cubes), default=0) + 1)
+        by_vertex = {w: [[] for _ in dimensions] for w in vertices}
         for cube in cubes:
+            d = len(cube.axis)
             for w in cube.vertices(graph):
-                by_vertex[w].append(cube)
-        self._cubes_by_vertex = {w: tuple(cs) for w, cs in by_vertex.items()}
+                by_vertex[w][d].append(cube)
+        self._cubes_by_vertex = by_vertex
 
     def __contains__(self, vertex: Word) -> bool:
-        return vertex in self._vertex_set
+        return vertex in self._cubes_by_vertex
 
     def has_cube(self, cube: Cube) -> bool:
         return cube in self._cube_set
@@ -273,8 +277,8 @@ def build_ball(
     The vertex cap is checked by the census first.  Spheres are then read
     off the shortlex automaton, up to the radius or the first empty one.
     The cube (w, T) is based at w exactly when T misses descents(w); with
-    the cliques taken lexicographically, cubes come out in
-    ``Cube.sort_key`` order.
+    the cliques taken lexicographically, cubes come out in the order
+    ``Ball`` keeps: by base length, then base, then axis.
     """
     cliques = _lex_cliques(graph)
     census = _census(graph, radius, max_vertices, cliques)
@@ -299,35 +303,43 @@ def sphere(ball: Ball, r: int) -> tuple[Word, ...]:
 
 
 def canonical_cube(g: Word, axis, graph: DefiningGraph) -> Cube:
-    """The canonical form of the coset cube g*W_axis.
+    """The canonical form of the coset cube g*W_axis, for a normal form g.
 
-    Greedily right-multiplies by axis generators while that shortens the
-    representative; the result is the unique minimal element of the coset,
-    so re-canonicalizing is a no-op.
+    The base is the minimal element of the coset: g with every descent in
+    the axis removed.  A letter t is a descent of g when the scan from the
+    right over the letters commuting with t stops at t itself, and deleting
+    that occurrence leaves a normal form, since every letter after it
+    commutes with t.  One pass over the axis is enough: the axis is a
+    clique, so a deleted descent d commutes with every other axis letter
+    and its deletion changes no other letter's descent status.  The result
+    is the minimal element of the coset, so re-canonicalizing is a no-op.
     """
     axis = tuple(sorted(set(axis)))
-    if not is_spherical(axis, graph):
-        raise ValueError(f"axis {axis!r} is not a clique of the defining graph")
+    bits = _mask_of(axis, graph.n)
+    masks = graph.neighbor_masks
     base = g
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for t in axis:
-            shorter = multiply(base, (t,), graph)
-            if len(shorter) < len(base):
-                base = shorter
-                shrinking = True
+    for t in axis:
+        tmask = masks[t]
+        if bits & ~tmask != 1 << t:
+            raise ValueError(f"axis {axis!r} is not a clique of the defining graph")
+        i = len(base)
+        while i:
+            i -= 1
+            letter = base[i]
+            if not tmask >> letter & 1:
+                if letter == t:
+                    base = base[:i] + base[i + 1 :]
+                break
     return Cube(base, axis)
 
 
 def cubes_at_vertex(ball: Ball, v: Word) -> dict[int, tuple[Cube, ...]]:
-    """All stored cubes containing v, grouped by dimension."""
-    if v not in ball:
+    """All stored cubes containing v, grouped by dimension in ascending
+    order, each group in ``ball.cubes`` order; no group is empty."""
+    groups = ball._cubes_by_vertex.get(v)
+    if groups is None:
         raise ValueError(f"vertex {v!r} is not in the ball")
-    grouped: dict[int, list[Cube]] = {}
-    for cube in ball._cubes_by_vertex[v]:
-        grouped.setdefault(cube.dimension, []).append(cube)
-    return {dim: tuple(cubes) for dim, cubes in sorted(grouped.items())}
+    return {d: tuple(cs) for d, cs in enumerate(groups) if cs}
 
 
 @dataclass(frozen=True)

@@ -55,25 +55,3 @@ def tits_matrix(word, graph: DefiningGraph) -> Matrix:
     for g in word:
         result = matrix_product(result, generator_matrix(g, graph))
     return result
-
-
-def determinant(matrix: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

@@ -130,15 +130,6 @@ class SphericalPoset:
     def leq(a: Clique, b: Clique) -> bool:
         return set(a) <= set(b)
 
-    @property
-    def maximal_elements(self) -> tuple[Clique, ...]:
-        """Exactly the maximal cliques of the defining graph."""
-        return tuple(
-            a
-            for a in self.elements
-            if not any(a != b and self.leq(a, b) for b in self.elements)
-        )
-
 
 def spherical_poset(graph: DefiningGraph) -> SphericalPoset:
     """The inclusion poset of all cliques, empty set included."""

@@ -10,8 +10,11 @@ are rebuilt by a breadth-first search that finds vertices and cubes with
 ``multiply`` instead of the shortlex automaton of ``rcoxeter.davis``.  The
 conjugates, invariant cubes and displacement profile of the involution are
 recomputed by walking an enumerated ball, where the library streams the
-automaton's spheres without one.  Expected values frozen into the tests
-were produced by these routines.
+automaton's spheres without one.  Canonical cubes are recomputed by
+greedy right multiplication, where the library deletes descents in one
+pass.  Helpers only the tests use (a determinant, the maximal elements of
+the spherical poset, the cube sort key) live here too.  Expected values
+frozen into the tests were produced by these routines.
 """
 
 from __future__ import annotations
@@ -22,13 +25,16 @@ import random
 from rcoxeter import (
     IDENTITY,
     Ball,
+    Clique,
     Cube,
     DefiningGraph,
     DisplacementProfile,
     Involution,
+    Matrix,
     ResourceCapError,
+    SphericalPoset,
+    Word,
     all_cliques,
-    canonical_cube,
     conjugate,
     cubes_at_vertex,
     generator_matrix,
@@ -39,6 +45,60 @@ from rcoxeter import (
     sphere,
     support,
 )
+
+
+def determinant(matrix: Matrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(matrix)
+    m = [list(row) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def maximal_elements(poset: SphericalPoset) -> tuple[Clique, ...]:
+    """The elements of the spherical poset below no other one: exactly the
+    maximal cliques of the defining graph."""
+    return tuple(
+        a
+        for a in poset.elements
+        if not any(a != b and set(a) <= set(b) for b in poset.elements)
+    )
+
+
+def cube_sort_key(cube: Cube):
+    """The order of ``Ball.cubes``: base length, then base, then axis."""
+    return (len(cube.base), cube.base, cube.axis)
+
+
+def greedy_canonical_cube(g: Word, axis, graph: DefiningGraph) -> Cube:
+    """The canonical form of the coset cube g*W_axis, by greedy rounds of
+    right multiplication by axis generators while that shortens the
+    representative, until a round shortens nothing."""
+    axis = tuple(sorted(set(axis)))
+    base = g
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for t in axis:
+            shorter = multiply(base, (t,), graph)
+            if len(shorter) < len(base):
+                base = shorter
+                shrinking = True
+    return Cube(base, axis)
 
 
 def shortlex_class_table(graph: DefiningGraph, max_len: int):
@@ -217,7 +277,7 @@ def bfs_ball(graph: DefiningGraph, radius: int, max_vertices: int = 1_000_000) -
                 continue
             if all(len(multiply(w, (t,), graph)) == len(w) + 1 for t in clique):
                 cubes.append(Cube(w, clique))
-    cubes.sort(key=Cube.sort_key)
+    cubes.sort(key=cube_sort_key)
     reliable = radius - len(maximum_spherical(graph))
     return Ball(graph, radius, vertices, tuple(cubes), reliable)
 
@@ -226,15 +286,15 @@ def cubes_through(ball: Ball, v) -> dict[int, tuple[Cube, ...]]:
     """Stored cubes containing v, grouped by dimension and in sort-key order.
 
     The cube with axis T that contains v is the coset v*W_T, so it is found
-    by canonicalizing that coset for every clique T, without the ball's
-    per-vertex index.
+    by canonicalizing that coset greedily for every clique T, without the
+    ball's per-vertex index or the library's ``canonical_cube``.
     """
     found = []
     for T in all_cliques(ball.graph):
-        cube = canonical_cube(v, T, ball.graph)
+        cube = greedy_canonical_cube(v, T, ball.graph)
         if ball.has_cube(cube):
             found.append(cube)
-    found.sort(key=Cube.sort_key)
+    found.sort(key=cube_sort_key)
     grouped: dict[int, list[Cube]] = {}
     for cube in found:
         grouped.setdefault(cube.dimension, []).append(cube)

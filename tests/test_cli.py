@@ -1,7 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcoxeter import build_ball, certify, preset
 from rcoxeter.cli import UnsupportedFormatError, format_report, main
@@ -324,6 +330,18 @@ class TestOutputTarget:
         assert out == ""
         assert json.loads(target.read_text())["verdict"] == "pass"
 
+    def test_unwritable_out_is_one_line_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(
+            capsys, "gamma", "--preset", "square", "--out", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rcoxeter: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not target.parent.exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
@@ -340,3 +358,74 @@ class TestFormatReport:
     def test_unknown_kind_unsupported(self):
         with pytest.raises(UnsupportedFormatError):
             format_report(object())
+
+
+COMMANDS = (
+    "nf", "mul", "order", "cliques", "maxclique", "gamma",
+    "ball", "cubes", "fixed", "profile", "certify", "export",
+)
+RADIUS_COMMANDS = ("ball", "cubes", "fixed", "profile", "certify", "export")
+JUNK = (
+    "", "zz", "a b", "v9", "-1", "x", "--radius", "--preset", "--help",
+    "--max-vertices", "{", "ab" * 7, "nope",
+)
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed command line over the presets, at radii of at most 6,
+    with optional caps, format and words, then possibly broken by dropping,
+    inserting or replacing one token."""
+    command = draw(st.sampled_from(COMMANDS))
+    name = draw(st.sampled_from(("square", "dinfty", "pentagon", "grid")))
+    argv = [command, "--preset", name]
+    if command in RADIUS_COMMANDS:
+        argv += ["--radius", str(draw(st.integers(-1, 6)))]
+        if draw(st.booleans()):
+            argv += ["--max-vertices", str(draw(st.sampled_from((-1, 0, 1, 5, 50, 1000))))]
+    if draw(st.booleans()):
+        argv += ["--max-generators", draw(st.sampled_from(("1", "4", "24")))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(("json", "json", "dot", "xml")))]
+    if draw(st.booleans()):
+        argv += ["--out", "UNWRITABLE"]
+    letters = st.lists(st.sampled_from(preset(name).labels + ("e",)), max_size=6)
+    if command == "mul":
+        argv += [" ".join(draw(letters)) or "e", " ".join(draw(letters)) or "e"]
+    elif command in ("nf", "order", "cubes"):
+        argv += draw(letters) or ["e"]
+    damage = draw(st.sampled_from(("none", "none", "drop", "insert", "replace")))
+    if damage != "none":
+        at = draw(st.integers(0, len(argv) - 1))
+        junk = draw(st.sampled_from(JUNK))
+        if damage == "drop":
+            del argv[at]
+        elif damage == "insert":
+            argv.insert(at, junk)
+        else:
+            argv[at] = junk
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argvs())
+    def test_exit_codes_and_no_traceback(self, argv):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            # A path under a directory that does not exist: never written.
+            unwritable = os.path.join(tmp, "missing", "out.json")
+            argv = [unwritable if a == "UNWRITABLE" else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            # A damaged argv can name any token as --out: keep it in tmp.
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            finally:
+                os.chdir(cwd)
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            # Errors and caps print one line; success and verdicts none.
+            assert err.getvalue().count("\n") == (code in (1, 3))
+            assert not os.path.exists(os.path.dirname(unwritable))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import tracemalloc
@@ -22,10 +23,13 @@ from rcoxeter import (
     spherical_poset,
     tits_matrix,
 )
+from rcoxeter.cli import main
 from oracles import (
     assert_same_ball,
     bfs_ball,
     complete_graph,
+    cube_sort_key,
+    greedy_canonical_cube,
     matrix_ball_sphere_sizes,
     random_graph,
 )
@@ -90,7 +94,7 @@ class TestBuildBall:
 
     def test_cube_order_is_canonical(self):
         ball = build_ball(GRID, 3)
-        keys = [c.sort_key() for c in ball.cubes]
+        keys = [cube_sort_key(c) for c in ball.cubes]
         assert keys == sorted(keys)
 
     def test_negative_radius_rejected(self):
@@ -343,6 +347,69 @@ class TestCubesAtVertex:
             cubes_at_vertex(build_ball(DINFTY, 2), (0, 1, 0))
 
 
+# sha256 of the stdout of ``rcoxeter cubes --preset P --radius R WORD``,
+# computed before the per-dimension index replaced regrouping per read.
+CUBES_CLI_DIGESTS = {
+    ("pentagon", 6): {
+        "e": "7e5200329e0fe546b5d9a776c3dd414834946739bbce7353491cb85847b1000f",
+        "v0": "3fb875b2259e56770fc454c7567a1f002b1a507bf2b5df915eced660badb94fb",
+        "v2 v0 v3": "a33bef3c6bedc224b7390b003af5b80b20b5ed0c7e368355010304b066d16704",
+        "v0 v2 v4 v1 v3": "e4a609c4afd4cb94a0e756d65235c6b3d7c3a49708412744a2353a4981f38345",
+        "v1 v3 v0 v2 v4 v1": "4812ef6d9ae12494af124fcdb7166ff8238f8d68921d7e46b2f8d16bce4cf1e5",
+    },
+    ("grid", 5): {
+        "e": "db019379dcea90d4727f706e075b292c128a885369b3ba5696071b0d63c21f28",
+        "c a": "849693d286f852f0a7eb350e7792435ee860f4e73c28e454bc90cba036615b07",
+        "a b c d": "8b80961b1c5f00fab208f66dfaf74678bd972199b770db2904522a766e651428",
+        "a b a b a": "5b8c9af266d60f0f2613a8faf1fff879d16b22aaf559e53d799fe5e5648c88e4",
+    },
+    ("dinfty", 30): {
+        "e": "1136f42b075085251f0c2acddf8b79257b51cb8c2ce8d6108fed03ff104cc798",
+        "b a": "5b78ce25860f7e625179b3ccb1a57fef2f4a856dbfc9666c9c62874df2b2969a",
+        "ab" * 14 + "a": "488c3b809160480247205742326bbb0b9facaa3ba95fdbe62d9511fecf95c9fd",
+        "ba" * 15: "ce1eadbbdfc19b3885561dd931574130717779ba486e1333c578ff1ff1d274b1",
+    },
+}
+
+
+class TestCubesAtVertexContract:
+    """The shape ``rcoxeter cubes`` prints from: ascending dimensions, no
+    empty group, each group in ``ball.cubes`` order, and a fresh dict per
+    read."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [*ALL_PRESETS, complete_graph(5)],
+        ids=["square", "dinfty", "pentagon", "grid", "K5"],
+    )
+    def test_every_vertex_at_radius_five(self, graph):
+        ball = build_ball(graph, 5)
+        position = {cube: i for i, cube in enumerate(ball.cubes)}
+        for v in ball.vertices:
+            grouped = cubes_at_vertex(ball, v)
+            assert list(grouped) == sorted(grouped)
+            for dim, cubes in grouped.items():
+                assert cubes
+                assert all(cube.dimension == dim for cube in cubes)
+                places = [position[cube] for cube in cubes]
+                assert places == sorted(places)
+            expected = dict(grouped)
+            grouped.clear()
+            grouped[99] = ()
+            assert cubes_at_vertex(ball, v) == expected
+
+    @pytest.mark.parametrize(
+        "name, radius, word",
+        [(*key, word) for key, by_word in CUBES_CLI_DIGESTS.items() for word in by_word],
+    )
+    def test_cli_output_is_pinned(self, capsys, name, radius, word):
+        code = main(["cubes", "--preset", name, "--radius", str(radius), *word.split()])
+        out = capsys.readouterr().out
+        assert code == 0
+        digest = CUBES_CLI_DIGESTS[name, radius][word]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestFaceClosure:
     def test_facets_of_stored_cubes_are_stored(self):
         for graph, radius in ((SQUARE, 2), (DINFTY, 4), (PENTAGON, 4), (GRID, 4)):
@@ -350,8 +417,8 @@ class TestFaceClosure:
             for cube in ball.cubes:
                 for t in cube.axis:
                     rest = tuple(g for g in cube.axis if g != t)
-                    near = canonical_cube(cube.base, rest, graph)
-                    far = canonical_cube(multiply(cube.base, (t,), graph), rest, graph)
+                    near = greedy_canonical_cube(cube.base, rest, graph)
+                    far = greedy_canonical_cube(multiply(cube.base, (t,), graph), rest, graph)
                     assert ball.has_cube(near)
                     assert ball.has_cube(far)
 

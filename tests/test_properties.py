@@ -1,10 +1,12 @@
-"""Property tests: the one-pass normal form and the automaton-built Davis
-ball against independent oracles, and the closed form of the displacement.
+"""Property tests: the one-pass normal form, the one-pass canonical cube
+and the automaton-built Davis ball against independent oracles, and the
+closed form of the displacement.
 
 Graphs have up to 8 generators and words up to 40 letters.  The two-phase
 algorithm in ``oracles`` and the reflection matrices share no code with
 ``rcoxeter.words``; the breadth-first ball in ``oracles`` shares none with
-``rcoxeter.davis.build_ball``.  Examples are derandomized so every run
+``rcoxeter.davis.build_ball``, and the greedy canonical cube none with
+``rcoxeter.davis.canonical_cube``.  Examples are derandomized so every run
 checks the same cases.
 """
 
@@ -13,11 +15,14 @@ from hypothesis import strategies as st
 
 from rcoxeter import (
     DefiningGraph,
+    all_cliques,
     ball_census,
     build_ball,
     build_involution,
+    canonical_cube,
     displacement_profile,
     fixed_loci,
+    matrix_product,
     maximum_spherical,
     multiply,
     normal_form,
@@ -27,6 +32,7 @@ from rcoxeter import (
 from oracles import (
     assert_same_ball,
     bfs_ball,
+    greedy_canonical_cube,
     two_phase_multiply,
     two_phase_normal_form,
 )
@@ -82,6 +88,27 @@ def test_normal_forms_agree_with_tits_matrix(case):
     assert tits_matrix(nf, graph) == tits_matrix(x + y, graph)
     product = multiply(normal_form(x, graph), y, graph)
     assert product == nf
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graph_and_word())
+def test_canonical_cube_matches_greedy_oracle(case):
+    graph, word = case
+    g = normal_form(word, graph)
+    cliques = all_cliques(graph)
+    # Every subset of a clique is a clique, so the matrices of the cliques'
+    # products are exactly the elements of the finite subgroups W_T.
+    subgroup = {tits_matrix(S, graph): S for S in cliques}
+    g_matrix = tits_matrix(g, graph)
+    inverses = {}
+    for T in cliques:
+        cube = canonical_cube(g, T, graph)
+        assert cube == greedy_canonical_cube(g, T, graph)
+        if cube.base not in inverses:
+            inverses[cube.base] = tits_matrix(cube.base[::-1], graph)
+        # base^-1 * g is a product of distinct letters of T.
+        S = subgroup.get(matrix_product(inverses[cube.base], g_matrix))
+        assert S is not None and set(S) <= set(T)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

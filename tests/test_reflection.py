@@ -1,7 +1,6 @@
 import itertools
 
 from rcoxeter import (
-    determinant,
     generator_matrix,
     identity_matrix,
     matrix_product,
@@ -9,7 +8,7 @@ from rcoxeter import (
     preset,
     tits_matrix,
 )
-from oracles import shortlex_class_table
+from oracles import determinant, shortlex_class_table
 
 SQUARE = preset("square")
 DINFTY = preset("dinfty")
