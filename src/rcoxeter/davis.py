@@ -25,14 +25,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
+from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import mul
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .graphs import DefiningGraph
-from .spherical import Clique, _cliques_of_masks, _mask_of, all_cliques, maximum_spherical
-from .words import IDENTITY, Word, multiply, word_to_text
+# all_cliques is not called here; it stays a name of this module because
+# bench/tracing.py wraps it.
+from .spherical import (  # noqa: F401
+    Clique,
+    _clique_levels,
+    _cliques_of_masks,
+    _mask_of,
+    all_cliques,
+    maximum_spherical,
+)
+from .words import IDENTITY, Word, multiply
 
 
 class ResourceCapError(RuntimeError):
@@ -154,9 +164,13 @@ class BallCensus:
         }
 
 
-def _lex_cliques(graph: DefiningGraph) -> list[tuple[Clique, int]]:
-    """Every clique with its generator bitmask, in lexicographic order."""
-    return [(c, sum(1 << t for t in c)) for c in sorted(all_cliques(graph))]
+def _lex_cliques(graph: DefiningGraph, radius: int) -> list[tuple[Clique, int]]:
+    """The cliques of at most ``radius`` generators with their bitmasks, in
+    lexicographic order; a larger clique fits no cube of a ball of that
+    radius."""
+    sizes = min(radius, graph.n) + 1
+    levels = islice(_clique_levels(graph.n, graph.neighbor_masks), sizes)
+    return sorted((c, sum(1 << t for t in c)) for level in levels for c, _ in level)
 
 
 def _growth_columns(by_size: list[int]) -> Iterator[list[int]]:
@@ -196,23 +210,28 @@ def ball_census(
     vertices, with the largest radius that fits, before anything sized by
     the ball is allocated.
     """
-    return _census(graph, radius, max_vertices, _lex_cliques(graph))
-
-
-def _census(
-    graph: DefiningGraph,
-    radius: int,
-    max_vertices: int,
-    cliques: list[tuple[Clique, int]],
-) -> BallCensus:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if max_vertices < 1:
         raise ResourceCapError(max_vertices, -1)
     k = len(maximum_spherical(graph))
-    by_size = [0] * (k + 1)
-    for c, _ in cliques:
-        by_size[len(c)] += 1
+    # Only the cliques of at most ``radius`` generators are counted: a
+    # larger one fits no cube and leaves the series unchanged up to
+    # t^radius.  A clique T is also a vertex of length |T|, the product of
+    # its generators, so once the cliques of at most s generators outnumber
+    # the cap, the counts so far fix the series up to t^s and the walk
+    # below raises by radius s.  The cliques of size s are counted from
+    # their parents' extensions, never listed.
+    by_size: list[int] = []
+    for level in _clique_levels(graph.n, graph.neighbor_masks):
+        by_size.append(len(level))
+        if len(by_size) > radius:
+            break
+        following = sum(above.bit_count() for _, above in level)
+        if sum(by_size) + following > max_vertices:
+            by_size.append(following)
+            break
+    by_size += [0] * (k + 1 - len(by_size))
     vertices = 0
     # sums[j]: the (k-j)-cubes per axis, i.e. the coset representatives of
     # length at most radius - (k-j), so that the whole cube fits.
@@ -280,8 +299,8 @@ def build_ball(
     the cliques taken lexicographically, cubes come out in the order
     ``Ball`` keeps: by base length, then base, then axis.
     """
-    cliques = _lex_cliques(graph)
-    census = _census(graph, radius, max_vertices, cliques)
+    census = ball_census(graph, radius, max_vertices)
+    cliques = _lex_cliques(graph, radius)
     levels = list(_spheres(graph, radius, None, lambda extra, x: None))
     vertices = tuple(w for level in levels for w, _, _, _ in level)
     cubes: list[Cube] = []
@@ -381,7 +400,9 @@ def links_flag_check(ball: Ball) -> FlagCheckReport:
             masks[local[s]] |= 1 << local[t]
             masks[local[t]] |= 1 << local[s]
         for local_clique in _cliques_of_masks(len(edge_gens), tuple(masks)):
-            if len(local_clique) < 2:
+            # Each pair spans a square read from the index above; only a
+            # larger clique can lack its cube.
+            if len(local_clique) < 3:
                 continue
             axis = tuple(edge_gens[i] for i in local_clique)
             if not ball.has_cube(canonical_cube(v, axis, ball.graph)):
@@ -389,36 +410,62 @@ def links_flag_check(ball: Ball) -> FlagCheckReport:
     return FlagCheckReport(True, (), checked)
 
 
+def _vertex_texts(ball: Ball, labels: Sequence[str]) -> tuple[dict[Word, int], list[str]]:
+    """Number the vertices and spell each one with the given generator
+    labels, space-joined, the identity as the empty string.
+
+    Each text is its parent's plus one label: a prefix of a normal form is a
+    normal form, and the shortlex order lists every parent before its
+    children.
+    """
+    index: dict[Word, int] = {}
+    texts: list[str] = []
+    for i, w in enumerate(ball.vertices):
+        index[w] = i
+        if not w:
+            texts.append("")
+            continue
+        parent = texts[index[w[:-1]]]
+        texts.append(f"{parent} {labels[w[-1]]}" if parent else labels[w[-1]])
+    return index, texts
+
+
 def export_complex(ball: Ball, format: str) -> str:
-    """Serialize a ball: full JSON, or the 1-skeleton as a DOT graph."""
+    """Serialize a ball: full JSON, or the 1-skeleton as a DOT graph.
+
+    The JSON is the text ``json.dumps`` gives of {"radius", "reliable_radius",
+    "vertices", "cubes": [{"base", "axis"}, ...]} with positive-dimensional
+    cubes, each string quoted once.  A DOT label escapes backslash and
+    double quote.
+    """
     graph = ball.graph
+    labels = graph.labels
     if format == "json":
-        payload = {
-            "radius": ball.radius,
-            "reliable_radius": ball.reliable_radius,
-            "vertices": [word_to_text(w, graph) for w in ball.vertices],
-            "cubes": [
-                {
-                    "base": word_to_text(c.base, graph),
-                    "axis": [graph.labels[g] for g in c.axis],
-                }
-                for c in ball.cubes
-                if c.dimension > 0
-            ],
-        }
-        return json.dumps(payload) + "\n"
-    if format == "dot":
-        index = {w: i for i, w in enumerate(ball.vertices)}
-        lines = ["graph davis_ball {"]
-        for w in ball.vertices:
-            label = word_to_text(w, graph) or "1"
-            lines.append(f'  n{index[w]} [label="{label}"];')
-        for cube in ball.cubes:
-            if cube.dimension != 1:
+        index, texts = _vertex_texts(ball, labels)
+        quoted = [encode_basestring_ascii(t) for t in texts]
+        axes: dict[Clique, str] = {}
+        cubes = []
+        for base, axis in ball.cubes:
+            if not axis:
                 continue
-            a = index[cube.base]
-            b = index[multiply(cube.base, cube.axis, graph)]
-            lines.append(f"  n{a} -- n{b};")
+            axis_text = axes.get(axis)
+            if axis_text is None:
+                axis_text = axes[axis] = json.dumps([labels[g] for g in axis])
+            cubes.append(f'{{"base": {quoted[index[base]]}, "axis": {axis_text}}}')
+        return (
+            f'{{"radius": {ball.radius}, "reliable_radius": {ball.reliable_radius}, '
+            f'"vertices": [{", ".join(quoted)}], "cubes": [{", ".join(cubes)}]}}\n'
+        )
+    if format == "dot":
+        escaped = [label.replace("\\", "\\\\").replace('"', '\\"') for label in labels]
+        index, texts = _vertex_texts(ball, escaped)
+        lines = ["graph davis_ball {"]
+        lines.extend(f'  n{i} [label="{text or "1"}"];' for i, text in enumerate(texts))
+        lines.extend(
+            f"  n{index[base]} -- n{index[multiply(base, axis, graph)]};"
+            for base, axis in ball.cubes
+            if len(axis) == 1
+        )
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown export format {format!r}")

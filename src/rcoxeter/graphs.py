@@ -56,6 +56,9 @@ class DefiningGraph:
         for label in self.labels:
             if not label:
                 raise GraphParseError("empty generator label")
+            # Words are spelled as space-joined labels.
+            if any(c.isspace() for c in label):
+                raise GraphParseError(f"generator label {label!r} contains whitespace")
             if label in seen:
                 raise DuplicateLabelError(f"duplicate label {label!r}")
             seen.add(label)

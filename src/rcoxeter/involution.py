@@ -88,7 +88,7 @@ def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...
     subgroup is a product of distinct commuting generators, so a conjugate
     longer than the clique is skipped at once.
     """
-    cliques = _lex_cliques(ball.graph)
+    cliques = _lex_cliques(ball.graph, ball.radius)
     found: list[Cube] = []
     for r, level in enumerate(sphere_states(inv, ball)):
         fitting = [(c, mask) for c, mask in cliques if len(c) <= ball.radius - r]

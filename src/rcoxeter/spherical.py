@@ -49,24 +49,30 @@ def is_spherical(subset: Iterable[int], graph: DefiningGraph) -> bool:
     )
 
 
-def _cliques_of_masks(n: int, masks: tuple[int, ...]) -> tuple[Clique, ...]:
-    """All cliques of an n-vertex graph given as neighbor bitmasks.
+def _clique_levels(n: int, masks: tuple[int, ...]) -> Iterator[list[tuple[Clique, int]]]:
+    """Yield the cliques of an n-vertex graph given as neighbor bitmasks,
+    one size at a time from the empty clique, each size in lexicographic
+    order.
 
-    Cliques are grown by their largest vertex, so the output is in
-    size-then-lexicographic order, starting with the empty clique.
+    A clique comes paired with the vertices above its largest that are
+    adjacent to all of it: the clique's extensions, so the next size has
+    as many cliques as those masks have bits.  Cliques are grown by their
+    largest vertex, and a size is built only when the next one is asked for.
     """
-    out: list[Clique] = [()]
-    # Pair each clique with the common neighborhood of its members.
     level: list[tuple[Clique, int]] = [((), (1 << n) - 1)]
     while level:
-        next_level: list[tuple[Clique, int]] = []
-        for clique, common in level:
-            start = clique[-1] + 1 if clique else 0
-            for v in _bits(common >> start << start):
-                next_level.append((clique + (v,), common & masks[v]))
-        out.extend(clique for clique, _ in next_level)
-        level = next_level
-    return tuple(out)
+        yield level
+        level = [
+            (clique + (v,), above & masks[v] >> v + 1 << v + 1)
+            for clique, above in level
+            for v in _bits(above)
+        ]
+
+
+def _cliques_of_masks(n: int, masks: tuple[int, ...]) -> tuple[Clique, ...]:
+    """All cliques of an n-vertex graph given as neighbor bitmasks, in
+    size-then-lexicographic order, starting with the empty clique."""
+    return tuple(clique for level in _clique_levels(n, masks) for clique, _ in level)
 
 
 def all_cliques(graph: DefiningGraph) -> tuple[Clique, ...]:

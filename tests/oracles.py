@@ -12,7 +12,9 @@ conjugates, invariant cubes and displacement profile of the involution are
 recomputed by walking an enumerated ball, where the library streams the
 automaton's spheres without one.  Canonical cubes are recomputed by
 greedy right multiplication, where the library deletes descents in one
-pass.  Helpers only the tests use (a determinant, the maximal elements of
+pass.  Exports are re-serialized the way the library did before it built
+each vertex text from its parent's: one ``json.dumps`` of the whole payload
+and one label join per word.  Helpers only the tests use (a determinant, the maximal elements of
 the spherical poset, the cube sort key) live here too.  Expected values
 frozen into the tests were produced by these routines.
 """
@@ -20,6 +22,7 @@ frozen into the tests were produced by these routines.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 from rcoxeter import (
@@ -44,6 +47,7 @@ from rcoxeter import (
     multiply,
     sphere,
     support,
+    word_to_text,
 )
 
 
@@ -364,3 +368,39 @@ def complete_graph(n: int) -> DefiningGraph:
     return DefiningGraph.from_edges(
         labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
     )
+
+
+def reference_export(ball: Ball, format: str) -> str:
+    """``export_complex`` as one ``json.dumps`` of a payload of dicts, or a
+    DOT graph whose labels are joined word by word and not escaped."""
+    graph = ball.graph
+    if format == "json":
+        payload = {
+            "radius": ball.radius,
+            "reliable_radius": ball.reliable_radius,
+            "vertices": [word_to_text(w, graph) for w in ball.vertices],
+            "cubes": [
+                {
+                    "base": word_to_text(c.base, graph),
+                    "axis": [graph.labels[g] for g in c.axis],
+                }
+                for c in ball.cubes
+                if c.dimension > 0
+            ],
+        }
+        return json.dumps(payload) + "\n"
+    if format == "dot":
+        index = {w: i for i, w in enumerate(ball.vertices)}
+        lines = ["graph davis_ball {"]
+        for w in ball.vertices:
+            label = word_to_text(w, graph) or "1"
+            lines.append(f'  n{index[w]} [label="{label}"];')
+        for cube in ball.cubes:
+            if cube.dimension != 1:
+                continue
+            a = index[cube.base]
+            b = index[multiply(cube.base, cube.axis, graph)]
+            lines.append(f"  n{a} -- n{b};")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"unknown export format {format!r}")

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -189,10 +190,49 @@ class TestBallsBuilt:
             "rcoxeter: vertex cap 1000000 exceeded; last complete radius was 499999\n"
         )
 
+    @staticmethod
+    def complete_graph_file(tmp_path, n):
+        labels = [f"x{i}" for i in range(n)]
+        path = tmp_path / f"k{n}.txt"
+        path.write_text(
+            " ".join(labels) + "\n"
+            + "".join(f"{a} {b}\n" for i, a in enumerate(labels) for b in labels[i + 1 :])
+        )
+        return str(path)
+
+    def test_complete_graph_on_24_generators_lists_few_cliques(self, tmp_path, capsys):
+        # K24 has 2^24 cliques; radius 2 needs the 301 of at most 2 generators.
+        path = self.complete_graph_file(tmp_path, 24)
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "ball", "--graph", path, "--radius", "2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out)["vertex_count"] == 1 + 24 + 276
+        assert peak < 2**20
+
+    def test_complete_graph_on_24_generators_at_radius_thirty(self, tmp_path, capsys):
+        # 536,155 cliques have at most 7 generators, 1,271,626 at most 8.
+        path = self.complete_graph_file(tmp_path, 24)
+        code, out, err = run(capsys, "ball", "--graph", path, "--radius", "30")
+        assert (code, out) == (3, "")
+        assert err == "rcoxeter: vertex cap 1000000 exceeded; last complete radius was 7\n"
+
     def test_huge_radius_on_a_finite_group(self, capsys):
         code, out, _ = run(capsys, "ball", "--preset", "square", "--radius", "3000000")
         assert code == 0
         assert json.loads(out)["vertex_count"] == 4
+
+    def test_radius_beyond_any_index_on_a_finite_group(self, capsys):
+        # However large the radius, the cliques listed stop at the graph's.
+        radius = str(10**30)
+        code, out, _ = run(capsys, "export", "--preset", "square", "--radius", radius)
+        assert code == 0
+        assert json.loads(out)["vertices"] == ["", "a", "b", "a b"]
+        code, out, _ = run(capsys, "certify", "--preset", "square", "--radius", radius)
+        assert code == 0
 
 
 class TestCertify:
@@ -284,8 +324,13 @@ class TestGraphSources:
             "[1,2]",
             '{"vertices":["a","b"],"edges":[{"a":1,"b":2}]}',
             "[" * 100_000 + "]" * 100_000,
+            '{"vertices":["a b","a","b"]}',
+            '{"vertices":["a\\u00a0b","a","b"]}',
         ],
-        ids=["edges-not-a-list", "top-level-array", "edge-object", "nested-too-deep"],
+        ids=[
+            "edges-not-a-list", "top-level-array", "edge-object", "nested-too-deep",
+            "label-with-space", "label-with-nbsp",
+        ],
     )
     def test_malformed_json_graph_is_one_line_error(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
@@ -293,6 +338,21 @@ class TestGraphSources:
         code, out, err = run(capsys, "maxclique", "--graph", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("rcoxeter: ") and err.count("\n") == 1
+
+    def test_dot_labels_are_escaped(self, tmp_path, capsys):
+        path = tmp_path / "quoted.json"
+        path.write_text(json.dumps({"vertices": ['a"b', "c\\d"]}))
+        code, out, _ = run(
+            capsys, "export", "--graph", str(path), "--radius", "2", "--format", "dot"
+        )
+        assert code == 0
+        assert out.splitlines()[1:6] == [
+            '  n0 [label="1"];',
+            '  n1 [label="a\\"b"];',
+            '  n2 [label="c\\\\d"];',
+            '  n3 [label="a\\"b c\\\\d"];',
+            '  n4 [label="c\\\\d a\\"b"];',
+        ]
 
     def test_unknown_preset_rejected(self, capsys):
         code, out, err = run(capsys, "nf", "--preset", "heptagon", "a")

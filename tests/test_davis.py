@@ -1,14 +1,19 @@
 import hashlib
+import itertools
 import json
 import random
+import re
 import tracemalloc
+from math import comb
 
 import pytest
 
 from rcoxeter import (
     IDENTITY,
+    Ball,
     Cube,
     DefiningGraph,
+    FlagViolation,
     ResourceCapError,
     ball_census,
     build_ball,
@@ -22,6 +27,7 @@ from rcoxeter import (
     sphere,
     spherical_poset,
     tits_matrix,
+    word_to_text,
 )
 from rcoxeter.cli import main
 from oracles import (
@@ -32,6 +38,7 @@ from oracles import (
     greedy_canonical_cube,
     matrix_ball_sphere_sizes,
     random_graph,
+    reference_export,
 )
 
 SQUARE = preset("square")
@@ -159,6 +166,31 @@ class TestCapBeforeAllocation:
         error, peak = self.traced_cap_error(build_ball, DINFTY, 10**8, max_vertices=20_000)
         assert error.radius_reached == 9_999
         assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_complete_graph_caps(self, n):
+        # K_n has C(n, r) elements of length r.  A cap below the clique
+        # count of some size stops the census while it counts cliques.
+        graph = complete_graph(n)
+        totals = list(itertools.accumulate(comb(n, r) for r in range(n + 1)))
+        for cap in range(1, 2**n):
+            fits = sum(1 for total in totals if total <= cap) - 1
+            for radius in (fits + 1, n, 10**6):
+                with pytest.raises(ResourceCapError) as info:
+                    ball_census(graph, radius, max_vertices=cap)
+                assert info.value.radius_reached == fits
+            assert ball_census(graph, fits, max_vertices=cap).vertex_count == totals[fits]
+        assert ball_census(graph, 10**6, max_vertices=2**n).vertex_count == 2**n
+
+    def test_random_graph_caps(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            graph = random_graph(rng, max_vertices=8)
+            sizes = [ball_census(graph, r).vertex_count for r in range(6)]
+            for cap in range(1, min(sizes[5], 300)):
+                with pytest.raises(ResourceCapError) as info:
+                    ball_census(graph, 5, max_vertices=cap)
+                assert info.value.radius_reached == sum(v <= cap for v in sizes) - 1
 
     def test_pentagon_at_radius_forty(self):
         for build in (build_ball, ball_census, certify):
@@ -439,6 +471,21 @@ class TestFlagCondition:
             assert report.violations == ()
             assert bool(report)
 
+    def test_complete_graph_passes(self):
+        assert links_flag_check(build_ball(complete_graph(4), 8)).ok
+
+    @pytest.mark.parametrize("which", range(8))
+    def test_missing_three_cube_is_reported_at_its_base(self, which):
+        full = build_ball(complete_graph(4), 8)
+        three_cubes = [cube for cube in full.cubes if cube.dimension == 3]
+        assert len(three_cubes) == 8
+        missing = three_cubes[which]
+        cubes = tuple(cube for cube in full.cubes if cube != missing)
+        ball = Ball(full.graph, full.radius, full.vertices, cubes, full.reliable_radius)
+        report = links_flag_check(ball)
+        assert not report.ok
+        assert report.violations == (FlagViolation(missing.base, missing.axis),)
+
     def test_checks_every_reliable_vertex(self):
         ball = build_ball(PENTAGON, 3)
         expected = sum(1 for w in ball.vertices if len(w) <= ball.reliable_radius)
@@ -471,3 +518,63 @@ class TestExport:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="obj"):
             export_complex(build_ball(SQUARE, 2), "obj")
+
+    @pytest.mark.parametrize(
+        "graph, radius",
+        [(SQUARE, 3), (DINFTY, 7), (PENTAGON, 5), (GRID, 5), (complete_graph(5), 5)],
+        ids=["square", "dinfty", "pentagon", "grid", "K5"],
+    )
+    def test_matches_reference(self, graph, radius):
+        for r in range(radius + 1):
+            ball = build_ball(graph, r)
+            for format in ("json", "dot"):
+                assert export_complex(ball, format) == reference_export(ball, format)
+
+    def test_dot_escapes_quote_and_backslash(self):
+        graph = DefiningGraph.from_edges(('a"b', "c\\d", "e"), [('a"b', "e")])
+        ball = build_ball(graph, 3)
+        lines = export_complex(ball, "dot").splitlines()
+        assert lines[1:4] == [
+            '  n0 [label="1"];',
+            '  n1 [label="a\\"b"];',
+            '  n2 [label="c\\\\d"];',
+        ]
+        # Every label is one DOT quoted string that unescapes to the word.
+        for i, w in enumerate(ball.vertices):
+            match = re.fullmatch(rf'  n{i} \[label="((?:[^"\\]|\\.)*)"\];', lines[i + 1])
+            assert match
+            text = re.sub(r"\\(.)", r"\1", match.group(1))
+            assert text == (word_to_text(w, graph) or "1")
+
+
+# sha256 of the stdout of ``rcoxeter export --radius R --format F`` on a
+# preset or on K5 (generators x0..x4), computed before each vertex text was
+# built from its parent's.
+EXPORT_CLI_DIGESTS = {
+    ("pentagon", 6, "json"): "dcf8fd1e45a38465f50af3196350b4fca6662c8a02f70f8f7c41d111e18ab42c",
+    ("pentagon", 6, "dot"): "1bd9654063596235f209770f57a6c3253315a5c155998760111fd94261f41370",
+    ("grid", 5, "json"): "181e0bad82fc4aa85700ed1db1a8c9568ed10df08a63b390d5234224604127de",
+    ("grid", 5, "dot"): "504b22d58a137879958057e43a1e8e1779e09a2101ee1873307b3012c0b8e362",
+    ("dinfty", 30, "json"): "5b8d1c9b6c0293518a70a00b8ad18d3bedcf1353470969d866a952bb8433927a",
+    ("dinfty", 30, "dot"): "18ad49df1a095956e53c7af4adfe682db589786102aa12fc2d3b012ffde8e906",
+    ("K5", 5, "json"): "65e6c76013987add08d52d9f5edd1eeeec84a527b774cc84846b52e2f1e7bc5e",
+    ("K5", 5, "dot"): "9d7018b1da90aa550fceff637fae101366f8df43d769ba2ea17971329e514e6d",
+}
+
+
+@pytest.mark.parametrize("name, radius, format", list(EXPORT_CLI_DIGESTS))
+def test_export_cli_output_is_pinned(tmp_path, capsys, name, radius, format):
+    if name == "K5":
+        path = tmp_path / "k5.json"
+        graph = complete_graph(5)
+        path.write_text(json.dumps({
+            "vertices": list(graph.labels),
+            "edges": [[graph.labels[i], graph.labels[j]] for i, j in graph.edges],
+        }))
+        source = ["--graph", str(path)]
+    else:
+        source = ["--preset", name]
+    code = main(["export", *source, "--radius", str(radius), "--format", format])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_CLI_DIGESTS[name, radius, format]

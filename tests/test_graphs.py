@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from rcoxeter import (
@@ -69,6 +71,13 @@ def test_parse_json_garbage():
 def test_parse_json_schema_violations(text):
     with pytest.raises(GraphParseError):
         parse_graph(text)
+
+
+@pytest.mark.parametrize("label", ["a b", "a\tb", "a\n", "\u2003a"])
+def test_parse_json_label_with_whitespace(label):
+    # Words print as space-joined labels, so "a b" would read as a*b.
+    with pytest.raises(GraphParseError, match="whitespace"):
+        parse_graph(json.dumps({"vertices": [label, "a", "b"]}))
 
 
 def test_parse_text_format():

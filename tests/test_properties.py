@@ -6,9 +6,12 @@ Graphs have up to 8 generators and words up to 40 letters.  The two-phase
 algorithm in ``oracles`` and the reflection matrices share no code with
 ``rcoxeter.words``; the breadth-first ball in ``oracles`` shares none with
 ``rcoxeter.davis.build_ball``, and the greedy canonical cube none with
-``rcoxeter.davis.canonical_cube``.  Examples are derandomized so every run
-checks the same cases.
+``rcoxeter.davis.canonical_cube``.  The export is checked byte for byte
+against the one-``json.dumps`` serializer in ``oracles``.  Examples are
+derandomized so every run checks the same cases.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from rcoxeter import (
     build_involution,
     canonical_cube,
     displacement_profile,
+    export_complex,
     fixed_loci,
     matrix_product,
     maximum_spherical,
@@ -33,6 +37,8 @@ from oracles import (
     assert_same_ball,
     bfs_ball,
     greedy_canonical_cube,
+    random_graph,
+    reference_export,
     two_phase_multiply,
     two_phase_normal_form,
 )
@@ -140,3 +146,42 @@ def test_displacement_closed_form(graph, extra):
 def test_displacement_closed_form_at_large_radii():
     for name, radius in (("pentagon", 12), ("grid", 20), ("dinfty", 400)):
         assert_closed_form_displacement(preset(name), radius)
+
+
+# Label characters: DOT and JSON specials, control characters, non-ASCII
+# and anything else but whitespace, which labels may not contain.
+LABEL_CHARS = st.one_of(
+    st.sampled_from('"\\\x00\x07\x1b\x7f\u00e9\u20ac\U0001f600'),
+    st.characters(blacklist_categories=("Cs",)),
+).filter(lambda c: not c.isspace())
+
+
+@st.composite
+def labelled_random_graphs(draw):
+    shape = random_graph(random.Random(draw(st.integers(0, 2**32))), max_vertices=8)
+    labels = draw(
+        st.lists(
+            st.text(LABEL_CHARS, min_size=1, max_size=4),
+            min_size=shape.n,
+            max_size=shape.n,
+            unique=True,
+        )
+    )
+    return DefiningGraph(tuple(labels), shape.neighbor_masks)
+
+
+def dot_escaped(graph):
+    labels = (label.replace("\\", "\\\\").replace('"', '\\"') for label in graph.labels)
+    return DefiningGraph(tuple(labels), graph.neighbor_masks)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(labelled_random_graphs(), st.integers(0, 5))
+def test_export_matches_reference(graph, radius):
+    ball = build_ball(graph, radius)
+    assert export_complex(ball, "json") == reference_export(ball, "json")
+    dot = export_complex(ball, "dot")
+    if not any('"' in label or "\\" in label for label in graph.labels):
+        assert dot == reference_export(ball, "dot")
+    # Escaping is per label, so it equals the reference on escaped labels.
+    assert dot == reference_export(build_ball(dot_escaped(graph), radius), "dot")
