@@ -70,11 +70,13 @@ from .involution import (
     FixedLocus,
     FixedPointReport,
     Involution,
+    SphereWalk,
     antipodal_check,
     build_involution,
     conjugates,
     fixed_loci,
     invariant_cubes,
+    walk_spheres,
 )
 from .probe import (
     Certificate,
@@ -108,6 +110,7 @@ __all__ = [
     "PRESETS",
     "ResourceCapError",
     "SelfLoopError",
+    "SphereWalk",
     "SphericalPoset",
     "UnknownLabelError",
     "Word",
@@ -145,5 +148,6 @@ __all__ = [
     "spherical_poset",
     "support",
     "tits_matrix",
+    "walk_spheres",
     "word_to_text",
 ]

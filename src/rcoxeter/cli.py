@@ -22,7 +22,7 @@ from .davis import (
     export_complex,
 )
 from .graphs import DefiningGraph, GraphParseError, parse_graph, preset, PRESETS
-from .involution import FixedPointReport, build_involution, fixed_loci
+from .involution import FixedPointReport, Involution, build_involution, fixed_loci
 from .probe import Certificate, DisplacementProfile, certify, displacement_profile
 from .spherical import maximum_spherical, spherical_poset
 from .words import has_order_two, multiply, parse_word, word_to_text
@@ -45,7 +45,10 @@ def format_report(value, format: str = "json") -> str:
     """Canonical serialization of a library report, newline-terminated."""
     if isinstance(value, Ball):
         return export_complex(value, format)
-    if isinstance(value, (BallCensus, FixedPointReport, Certificate, DisplacementProfile)):
+    if isinstance(
+        value,
+        (BallCensus, FixedPointReport, Certificate, DisplacementProfile, Involution),
+    ):
         if format != "json":
             raise UnsupportedFormatError(
                 f"{type(value).__name__} can only be rendered as json, not {format!r}"
@@ -150,13 +153,7 @@ def _run(args) -> tuple[str, int]:
     if args.command == "maxclique":
         return _dump_json([graph.labels[g] for g in maximum_spherical(graph)]), 0
     if args.command == "gamma":
-        inv = build_involution(graph)
-        payload = {
-            "gamma": word_to_text(inv.element, graph),
-            "clique": [graph.labels[g] for g in inv.clique],
-            "n": inv.n,
-        }
-        return _dump_json(payload), 0
+        return format_report(build_involution(graph), args.format), 0
     if args.command == "certify":
         certificate = certify(graph, args.radius, max_vertices=args.max_vertices)
         return format_report(certificate, args.format), 0 if certificate.verdict else 2

@@ -15,11 +15,16 @@ Everything here reads the vertices of length at most the reliable radius,
 R - k for a ball of radius R and a maximum clique of size k, and nothing
 else.  ``sphere_states`` walks them sphere by sphere off the shortlex
 automaton of ``davis`` and carries each vertex's conjugate along: the
-conjugate by w*x is x times the conjugate by w times x, one normalization
-of a word about as long as the conjugate.  Only the current sphere is
-kept, and no ``Ball`` is needed: the functions below take a ball or its
-census and read only its graph and radius.  ``fixed_loci`` conjugates in
-full only the bases of the invariant cubes, of which there is about one.
+conjugate by w*x is x times the conjugate by w times x, one ``multiply``
+of a word about as long as the conjugate.  ``walk_spheres`` makes that
+walk once and keeps only what the reports need: per sphere the min, max,
+sum and count of the conjugate lengths, and the invariant cubes, of which
+there is about one.  It holds a sphere and the next one while it builds
+that, and no ``Ball`` is needed.  ``invariant_cubes``, ``fixed_loci`` and
+``probe.displacement_profile`` take a ball, its census or a finished walk;
+given a ball or a census they walk it themselves, reading only its graph
+and radius, and given a walk they read it.  ``fixed_loci`` conjugates in
+full only the bases of the invariant cubes.
 
 The expected picture, verified here on finite balls: one invariant cube,
 based at the identity on the maximum clique itself, carrying an isolated
@@ -44,6 +49,15 @@ class Involution:
     element: Word
     clique: Clique
     n: int
+    graph: DefiningGraph
+
+    def as_dict(self) -> dict:
+        graph = self.graph
+        return {
+            "gamma": word_to_text(self.element, graph),
+            "clique": [graph.labels[g] for g in self.clique],
+            "n": self.n,
+        }
 
 
 def build_involution(graph: DefiningGraph) -> Involution:
@@ -53,7 +67,9 @@ def build_involution(graph: DefiningGraph) -> Involution:
     other order would give the same element since the factors commute.
     """
     clique = maximum_spherical(graph)
-    return Involution(element=tuple(clique), clique=clique, n=len(clique))
+    return Involution(
+        element=tuple(clique), clique=clique, n=len(clique), graph=graph
+    )
 
 
 def sphere_states(
@@ -69,7 +85,7 @@ def sphere_states(
     graph = ball.graph
 
     def step(conj: Word, x: int) -> Word:
-        return conjugate((x,), conj, graph)
+        return multiply((x,), conj + (x,), graph)
 
     return _spheres(graph, ball.radius - inv.n, inv.element, step)
 
@@ -79,18 +95,49 @@ def conjugates(inv: Involution, ball: Ball | BallCensus) -> dict[Word, Word]:
     return {w: conj for level in sphere_states(inv, ball) for w, _, _, conj in level}
 
 
-def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...]:
-    """All reliably-complete cubes mapped to themselves by the involution,
-    in the order of ``Ball.cubes``.
+@dataclass(frozen=True)
+class SphereWalk:
+    """What one walk of the spheres up to the reliable radius keeps.
+
+    ``spheres[r]`` is the (min, max, sum, count) of the conjugate lengths
+    over the nonempty sphere r, and ``cubes`` the invariant cubes.  The
+    graph and the radius of the walked ball let the walk stand in for it.
+    """
+
+    involution: Involution
+    graph: DefiningGraph
+    radius: int
+    spheres: tuple[tuple[int, int, int, int], ...]
+    cubes: tuple[Cube, ...]
+
+
+def walk_spheres(
+    inv: Involution, ball: Ball | BallCensus | SphereWalk
+) -> SphereWalk:
+    """Walk the spheres up to the reliable radius once, keeping the
+    displacement statistics of each sphere and the invariant cubes.
+
+    A walk already made for ``inv`` is returned as it is.
 
     The cube (g, T) is invariant iff g^-1 * gamma * g lies in the subgroup
     spanned by T, i.e. its support is contained in T.  An element of that
     subgroup is a product of distinct commuting generators, so a conjugate
-    longer than the clique is skipped at once.
+    longer than the clique is skipped at once, and so is a sphere whose
+    shortest conjugate is.
     """
+    if isinstance(ball, SphereWalk):
+        if ball.involution != inv:
+            raise ValueError("the walk was made for another involution")
+        return ball
     cliques = _lex_cliques(ball.graph, ball.radius)
+    spheres = []
     found: list[Cube] = []
     for r, level in enumerate(sphere_states(inv, ball)):
+        lengths = [len(conj) for _, _, _, conj in level]
+        shortest = min(lengths)
+        spheres.append((shortest, max(lengths), sum(lengths), len(lengths)))
+        if shortest > inv.n:
+            continue
         fitting = [(c, mask) for c, mask in cliques if len(c) <= ball.radius - r]
         for w, _, descents, conj in level:
             if len(conj) > inv.n:
@@ -101,7 +148,15 @@ def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...
                 for c, mask in fitting
                 if not mask & descents and not flips & ~mask
             )
-    return tuple(found)
+    return SphereWalk(inv, ball.graph, ball.radius, tuple(spheres), tuple(found))
+
+
+def invariant_cubes(
+    inv: Involution, ball: Ball | BallCensus | SphereWalk
+) -> tuple[Cube, ...]:
+    """All reliably-complete cubes mapped to themselves by the involution,
+    in the order of ``Ball.cubes``; see ``walk_spheres``."""
+    return walk_spheres(inv, ball).cubes
 
 
 @dataclass(frozen=True)
@@ -144,7 +199,9 @@ class FixedPointReport:
         }
 
 
-def fixed_loci(inv: Involution, ball: Ball | BallCensus) -> FixedPointReport:
+def fixed_loci(
+    inv: Involution, ball: Ball | BallCensus | SphereWalk
+) -> FixedPointReport:
     """Locate every fixed locus and judge whether it is the expected point.
 
     ``unique_point`` holds exactly when there is a single locus, it is

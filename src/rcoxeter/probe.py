@@ -24,8 +24,9 @@ involution squares to the identity, its fixed point in the examined ball
 is unique, the local action is antipodal, and min displacement never drops
 as the radius grows.  Complete defining graphs present finite groups whose
 boundary is empty, so they pass with an explanatory note.  It builds no
-ball: the census enforces the vertex cap, and the fixed loci and the
-profile walk the spheres up to the reliable radius, one at a time.
+ball: the census enforces the vertex cap, and one walk of the spheres up
+to the reliable radius, one sphere at a time, feeds both the fixed loci
+and the profile.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ from .davis import Ball, BallCensus, ball_census, build_ball  # noqa: F401
 from .graphs import DefiningGraph
 from .involution import (
     Involution,
+    SphereWalk,
     antipodal_check,
     build_involution,
     fixed_loci,
-    sphere_states,
+    walk_spheres,
 )
 from .spherical import maximum_spherical
 from .words import Word, conjugate, has_order_two, word_to_text
@@ -76,17 +78,17 @@ class DisplacementProfile:
 
 
 def displacement_profile(
-    inv: Involution, ball: Ball | BallCensus
+    inv: Involution, ball: Ball | BallCensus | SphereWalk
 ) -> DisplacementProfile:
-    """Tabulate displacement over each nonempty sphere up to the reliable radius."""
-    radii, mins, maxs, means = [], [], [], []
-    for r, level in enumerate(sphere_states(inv, ball)):
-        values = [len(conj) for _, _, _, conj in level]
-        radii.append(r)
-        mins.append(min(values))
-        maxs.append(max(values))
-        means.append(sum(values) / len(values))
-    return DisplacementProfile(tuple(radii), tuple(mins), tuple(maxs), tuple(means))
+    """Tabulate displacement over each nonempty sphere up to the reliable
+    radius; see ``involution.walk_spheres``."""
+    spheres = walk_spheres(inv, ball).spheres
+    return DisplacementProfile(
+        tuple(range(len(spheres))),
+        tuple(low for low, _, _, _ in spheres),
+        tuple(high for _, high, _, _ in spheres),
+        tuple(total / count for _, _, total, count in spheres),
+    )
 
 
 @dataclass(frozen=True)
@@ -150,8 +152,9 @@ def certify(
         )
     inv = build_involution(graph)
     census = ball_census(graph, radius, max_vertices=max_vertices)
-    report = fixed_loci(inv, census)
-    profile = displacement_profile(inv, census)
+    walk = walk_spheres(inv, census)
+    report = fixed_loci(inv, walk)
+    profile = displacement_profile(inv, walk)
     order_two = has_order_two(inv.element, graph)
     antipodal = antipodal_check(inv, graph)
     monotone = profile.monotone

@@ -17,7 +17,10 @@ slides into the suffix in front of its leftmost larger letter.  A letter
 costs one bitmask step per letter of that commuting suffix: one step in
 free products such as ``dinfty``, where no two generators commute, and
 never more than the length of the word, so a word of length k costs
-O(k) steps there and O(k^2) at worst.
+O(k) steps there and O(k^2) at worst.  The step is written out inside
+the loops of ``multiply`` and ``normal_form`` rather than called once per
+letter, since the call cost more than the step.  Conjugating c by one
+generator x is a single ``multiply((x,), c + (x,))`` of |c| + 1 letters.
 """
 
 from __future__ import annotations
@@ -29,33 +32,6 @@ Word = tuple[int, ...]
 
 #: The identity element.
 IDENTITY: Word = ()
-
-
-def _append_letter(out: list[int], g: int, masks: tuple[int, ...]) -> None:
-    """Replace the normal form ``out`` by the normal form of ``out * g``.
-
-    Only the suffix of letters commuting with ``g`` can be touched.  The
-    scan from the right stops at the first letter that does not commute
-    with ``g``; if that letter is ``g`` itself, nothing after it lies above
-    it in the heap, so deleting it leaves the greedy order of the rest
-    unchanged.  Otherwise ``g`` becomes available right after that letter,
-    and the greedy choice takes it in front of the leftmost larger letter
-    of the suffix, or last if there is none.
-    """
-    gmask = masks[g]
-    i = len(out)
-    at = i
-    while i:
-        letter = out[i - 1]
-        if not gmask >> letter & 1:
-            if letter == g:
-                del out[i - 1]
-                return
-            break
-        i -= 1
-        if letter > g:
-            at = i
-    out.insert(at, g)
 
 
 def normal_form(letters, graph: DefiningGraph) -> Word:
@@ -74,7 +50,19 @@ def normal_form(letters, graph: DefiningGraph) -> Word:
     for g in letters:
         if not 0 <= g < n:
             raise ValueError(f"generator index {g} out of range for {graph!r}")
-        _append_letter(out, g, masks)
+        gmask = masks[g]
+        i = at = len(out)
+        while i:
+            letter = out[i - 1]
+            if not gmask >> letter & 1:
+                break
+            i -= 1
+            if letter > g:
+                at = i
+        if i and out[i - 1] == g:
+            del out[i - 1]
+        else:
+            out.insert(at, g)
     return tuple(out)
 
 
@@ -83,11 +71,32 @@ def multiply(x: Word, y: Word, graph: DefiningGraph) -> Word:
 
     ``x`` must already be a normal form, since it seeds the word each letter
     of ``y`` is appended to; ``y`` may be any word over the generators.
+
+    Appending ``g`` scans from the right over the letters commuting with
+    ``g``, noting the leftmost one larger than ``g``.  If the letter that
+    stops the scan is ``g`` itself, nothing after it lies above it in the
+    heap, so deleting it leaves the greedy order of the rest unchanged.
+    Otherwise ``g`` becomes available right after that letter, and the
+    greedy choice takes it in front of the leftmost larger letter of the
+    suffix, or last if there is none.  ``normal_form`` runs the same step
+    and also checks each letter's range.
     """
     masks = graph.neighbor_masks
     out = list(x)
     for g in y:
-        _append_letter(out, g, masks)
+        gmask = masks[g]
+        i = at = len(out)
+        while i:
+            letter = out[i - 1]
+            if not gmask >> letter & 1:
+                break
+            i -= 1
+            if letter > g:
+                at = i
+        if i and out[i - 1] == g:
+            del out[i - 1]
+        else:
+            out.insert(at, g)
     return tuple(out)
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from rcoxeter import (
     multiply,
     preset,
     support,
+    walk_spheres,
 )
 from oracles import (
     complete_graph,
@@ -133,9 +135,61 @@ class TestConjugates:
         assert conjugates(build_involution(GRID), ball) == {}
 
 
+class TestOneWalk:
+    """``certify`` walks the spheres once and shares the walk between the
+    fixed loci and the profile, holding a sphere and the next at a time."""
+
+    @pytest.mark.parametrize(
+        "graph, radius",
+        ((PENTAGON, 8), (DINFTY, 100), (complete_graph(6), 6)),
+        ids=("pentagon-r8", "dinfty-r100", "K6-r6"),
+    )
+    def test_one_walk_per_certify(self, monkeypatch, graph, radius):
+        import rcoxeter.involution as involution_module
+
+        # Every walk, through whichever name, starts the automaton of
+        # ``davis._spheres`` as ``involution`` imported it.
+        walks = []
+        real = involution_module._spheres
+
+        def counted(graph, radius, *args):
+            walks.append(radius)
+            return real(graph, radius, *args)
+
+        monkeypatch.setattr(involution_module, "_spheres", counted)
+        inv = build_involution(graph)
+        assert certify(graph, radius).verdict
+        assert walks == [radius - inv.n]
+
+    @pytest.mark.parametrize(
+        "graph, radius, bound",
+        ((PENTAGON, 11, 10 * 2**20), (DINFTY, 400, 2**20)),
+        ids=("pentagon-r11", "dinfty-r400"),
+    )
+    def test_certify_streams(self, graph, radius, bound):
+        # The walk holds one sphere and builds the next.  On the pentagon
+        # group the last two spheres are most of the ball, so the bound
+        # there only rules out a Ball; on the line a sphere is two vertices,
+        # while keeping every state up to radius 399 would hold about 4 MiB
+        # of conjugates.
+        tracemalloc.start()
+        try:
+            assert certify(graph, radius).verdict
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_walk_is_tied_to_its_involution(self):
+        walk = walk_spheres(build_involution(PENTAGON), ball_census(PENTAGON, 5))
+        assert walk_spheres(build_involution(PENTAGON), walk) is walk
+        with pytest.raises(ValueError, match="another involution"):
+            fixed_loci(build_involution(GRID), walk)
+
+
 class TestStreamingAgainstBallWalk:
     """The sphere-by-sphere walk against references that walk an
-    enumerated ball, given the ball itself and given its census."""
+    enumerated ball, given the ball itself, its census and a finished walk."""
 
     @staticmethod
     def assert_same(graph, radius):
@@ -147,14 +201,14 @@ class TestStreamingAgainstBallWalk:
         assert conjugates(inv, ball) == walked_conjugates(inv, ball)
         assert conjugates(inv, census) == walked_conjugates(inv, ball)
         reports = []
-        for source in (ball, census):
+        for source in (ball, census, walk_spheres(inv, census)):
             assert invariant_cubes(inv, source) == cubes
             report = fixed_loci(inv, source)
             assert tuple(locus.cube for locus in report.loci) == cubes
             assert report.radius_examined == ball.reliable_radius
             assert displacement_profile(inv, source) == profile
             reports.append(report)
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("graph", ALL_PRESETS, ids=lambda g: " ".join(g.labels))
     def test_presets(self, graph):

@@ -7,8 +7,10 @@ algorithm in ``oracles`` and the reflection matrices share no code with
 ``rcoxeter.words``; the breadth-first ball in ``oracles`` shares none with
 ``rcoxeter.davis.build_ball``, and the greedy canonical cube none with
 ``rcoxeter.davis.canonical_cube``.  The export is checked byte for byte
-against the one-``json.dumps`` serializer in ``oracles``.  Examples are
-derandomized so every run checks the same cases.
+against the one-``json.dumps`` serializer in ``oracles``, and the one
+sphere walk ``certify`` shares against the references that walk an
+enumerated ball.  Examples are derandomized so every run checks the same
+cases.
 """
 
 import random
@@ -32,15 +34,18 @@ from rcoxeter import (
     normal_form,
     preset,
     tits_matrix,
+    walk_spheres,
 )
 from oracles import (
     assert_same_ball,
     bfs_ball,
+    filtered_invariant_cubes,
     greedy_canonical_cube,
     random_graph,
     reference_export,
     two_phase_multiply,
     two_phase_normal_form,
+    walked_profile,
 )
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
@@ -141,6 +146,26 @@ def assert_closed_form_displacement(graph, radius):
 @given(graphs(max_generators=6).filter(lambda g: not g.is_complete), st.integers(5, 7))
 def test_displacement_closed_form(graph, extra):
     assert_closed_form_displacement(graph, len(maximum_spherical(graph)) + extra)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graphs(max_generators=7).filter(lambda g: not g.is_complete), st.integers(1, 5))
+def test_shared_walk_matches_census_and_ball_walk(graph, extra):
+    """The one walk ``certify`` shares feeds the fixed loci and the profile
+    the same results as a walk of the census each, and as the references
+    that walk an enumerated ball."""
+    inv = build_involution(graph)
+    radius = inv.n + extra
+    census = ball_census(graph, radius)
+    walk = walk_spheres(inv, census)
+    report = fixed_loci(inv, walk)
+    profile = displacement_profile(inv, walk)
+    assert report == fixed_loci(inv, census)
+    assert profile == displacement_profile(inv, census)
+    ball = build_ball(graph, radius)
+    cubes = filtered_invariant_cubes(inv, ball)
+    assert tuple(locus.cube for locus in report.loci) == cubes
+    assert profile == walked_profile(inv, ball)
 
 
 def test_displacement_closed_form_at_large_radii():
