@@ -8,146 +8,59 @@ finite balls of the Davis complex in its cube-complex model, constructs the
 order-two element obtained by multiplying a maximum clique, and certifies
 that this involution fixes exactly one point of the examined complex while
 moving every sphere by an ever-growing amount.
-"""
 
-from .graphs import (
-    DefiningGraph,
-    DuplicateLabelError,
-    EmptyVertexListError,
-    GraphParseError,
-    PRESETS,
-    SelfLoopError,
-    UnknownLabelError,
-    parse_graph,
-    preset,
-)
-from .words import (
-    IDENTITY,
-    Word,
-    conjugate,
-    has_order_two,
-    inverse,
-    length,
-    multiply,
-    normal_form,
-    parse_word,
-    support,
-    word_to_text,
-)
-from .reflection import (
-    Matrix,
-    generator_matrix,
-    identity_matrix,
-    matrix_product,
-    tits_matrix,
-)
-from .spherical import (
-    ChamberComplex,
-    Clique,
-    SphericalPoset,
-    all_cliques,
-    chamber_complex,
-    is_spherical,
-    maximum_spherical,
-    spherical_poset,
-)
-from .davis import (
-    Ball,
-    BallCensus,
-    Cube,
-    FlagCheckReport,
-    FlagViolation,
-    ResourceCapError,
-    ball_census,
-    build_ball,
-    canonical_cube,
-    cubes_at_vertex,
-    export_complex,
-    links_flag_check,
-    sphere,
-)
-from .involution import (
-    FixedLocus,
-    FixedPointReport,
-    Involution,
-    SphereWalk,
-    antipodal_check,
-    build_involution,
-    conjugates,
-    fixed_loci,
-    invariant_cubes,
-    walk_spheres,
-)
-from .probe import (
-    Certificate,
-    DisplacementProfile,
-    certify,
-    displacement,
-    displacement_profile,
-)
+``import rcoxeter`` loads no submodule: each public name below is imported
+from its submodule on first use (PEP 562), so a script that only parses a
+graph loads only ``rcoxeter.graphs``.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ball",
-    "BallCensus",
-    "Certificate",
-    "ChamberComplex",
-    "Clique",
-    "Cube",
-    "DefiningGraph",
-    "DisplacementProfile",
-    "DuplicateLabelError",
-    "EmptyVertexListError",
-    "FixedLocus",
-    "FixedPointReport",
-    "FlagCheckReport",
-    "FlagViolation",
-    "GraphParseError",
-    "IDENTITY",
-    "Involution",
-    "Matrix",
-    "PRESETS",
-    "ResourceCapError",
-    "SelfLoopError",
-    "SphereWalk",
-    "SphericalPoset",
-    "UnknownLabelError",
-    "Word",
-    "all_cliques",
-    "antipodal_check",
-    "ball_census",
-    "build_ball",
-    "build_involution",
-    "canonical_cube",
-    "certify",
-    "chamber_complex",
-    "conjugate",
-    "conjugates",
-    "cubes_at_vertex",
-    "displacement",
-    "displacement_profile",
-    "export_complex",
-    "fixed_loci",
-    "generator_matrix",
-    "has_order_two",
-    "identity_matrix",
-    "invariant_cubes",
-    "inverse",
-    "is_spherical",
-    "length",
-    "links_flag_check",
-    "matrix_product",
-    "maximum_spherical",
-    "multiply",
-    "normal_form",
-    "parse_graph",
-    "parse_word",
-    "preset",
-    "sphere",
-    "spherical_poset",
-    "support",
-    "tits_matrix",
-    "walk_spheres",
-    "word_to_text",
-]
+#: Each public name, mapped to the submodule that defines it.
+_SUBMODULE_OF = {
+    name: module
+    for module, names in {
+        "graphs": "DefiningGraph DuplicateLabelError EmptyVertexListError"
+        " GraphParseError PRESETS SelfLoopError UnknownLabelError parse_graph preset",
+        "words": "IDENTITY Word conjugate has_order_two inverse length multiply"
+        " normal_form parse_word support word_to_text",
+        "reflection": "Matrix generator_matrix identity_matrix matrix_product"
+        " tits_matrix",
+        "spherical": "ChamberComplex Clique SphericalPoset all_cliques"
+        " chamber_complex is_spherical maximum_spherical spherical_poset",
+        "davis": "Ball BallCensus Cube FlagCheckReport FlagViolation"
+        " ResourceCapError ball_census build_ball canonical_cube cubes_at_vertex"
+        " export_complex links_flag_check sphere",
+        "involution": "FixedLocus FixedPointReport Involution SphereWalk"
+        " antipodal_check build_involution conjugates fixed_loci invariant_cubes"
+        " walk_spheres",
+        "probe": "Certificate DisplacementProfile certify displacement"
+        " displacement_profile",
+    }.items()
+    for name in names.split()
+}
+_SUBMODULES = frozenset(_SUBMODULE_OF.values()) | {"cli"}
+
+__all__ = sorted(_SUBMODULE_OF)
+
+
+def _submodule(name: str):
+    # The relative __import__ returns the submodule itself; unlike
+    # importlib.import_module it goes through the import statement's code
+    # path, so ``python -X importtime`` still reports the lazy imports.
+    return __import__(name, globals(), level=1)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _submodule(name)
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_submodule(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SUBMODULE_OF) | _SUBMODULES)

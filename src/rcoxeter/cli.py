@@ -168,6 +168,8 @@ def _run(args) -> tuple[str, int]:
     ball = build_ball(graph, args.radius, max_vertices=args.max_vertices)
     if args.command == "cubes":
         vertex = parse_word(" ".join(args.word), graph)
+        if vertex not in ball:
+            raise ValueError(f"vertex {_word_out(vertex, graph)!r} is not in the ball")
         grouped = cubes_at_vertex(ball, vertex)
         payload = {
             "vertex": word_to_text(vertex, graph),

@@ -24,7 +24,6 @@ so a run that would exceed it stops before it allocates anything.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import count, islice
 from json.encoder import encode_basestring_ascii
 from math import comb
@@ -140,8 +139,7 @@ class Ball:
         return tuple(counts)
 
 
-@dataclass(frozen=True)
-class BallCensus:
+class BallCensus(NamedTuple):
     """The size of a ball, in closed form: no vertex or cube is enumerated.
 
     ``cells_by_dimension[d]`` is the number of d-cubes the ball stores, the
@@ -361,14 +359,12 @@ def cubes_at_vertex(ball: Ball, v: Word) -> dict[int, tuple[Cube, ...]]:
     return {d: tuple(cs) for d, cs in enumerate(groups) if cs}
 
 
-@dataclass(frozen=True)
-class FlagViolation:
+class FlagViolation(NamedTuple):
     vertex: Word
     generators: Clique
 
 
-@dataclass(frozen=True)
-class FlagCheckReport:
+class FlagCheckReport(NamedTuple):
     """Outcome of the link condition scan; truthy when no violation exists."""
 
     ok: bool

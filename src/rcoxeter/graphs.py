@@ -13,7 +13,6 @@ lexicographic order used by shortlex normal forms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 
 class GraphParseError(ValueError):
@@ -36,8 +35,42 @@ class EmptyVertexListError(GraphParseError):
     """The description declares no generators."""
 
 
-@dataclass(frozen=True)
-class DefiningGraph:
+class _Frozen:
+    """Base of the immutable ``__slots__`` classes.
+
+    Equality, hash, repr and pickling go over the slots in order, as for a
+    frozen record; ``__init__`` sets each slot once through
+    ``object.__setattr__`` and every later assignment fails.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DefiningGraph(_Frozen):
     """A finite simple graph on named generators.
 
     ``labels`` lists the generator names in the order that defines the
@@ -46,10 +79,11 @@ class DefiningGraph:
     commute.  The mask relation is symmetric and irreflexive.
     """
 
-    labels: tuple[str, ...]
-    neighbor_masks: tuple[int, ...]
+    __slots__ = ("labels", "neighbor_masks")
 
-    def __post_init__(self) -> None:
+    def __init__(self, labels: tuple[str, ...], neighbor_masks: tuple[int, ...]):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "neighbor_masks", neighbor_masks)
         if not self.labels:
             raise EmptyVertexListError("graph has no generators")
         seen: set[str] = set()

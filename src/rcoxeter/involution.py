@@ -33,8 +33,7 @@ fixed point at its center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .davis import Ball, BallCensus, Cube, _lex_cliques, _spheres, canonical_cube
 from .graphs import DefiningGraph
@@ -42,8 +41,7 @@ from .spherical import Clique, maximum_spherical
 from .words import IDENTITY, Word, conjugate, multiply, support, word_to_text
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(NamedTuple):
     """An order-two element together with the clique that produced it."""
 
     element: Word
@@ -95,8 +93,7 @@ def conjugates(inv: Involution, ball: Ball | BallCensus) -> dict[Word, Word]:
     return {w: conj for level in sphere_states(inv, ball) for w, _, _, conj in level}
 
 
-@dataclass(frozen=True)
-class SphereWalk:
+class SphereWalk(NamedTuple):
     """What one walk of the spheres up to the reliable radius keeps.
 
     ``spheres[r]`` is the (min, max, sum, count) of the conjugate lengths
@@ -159,8 +156,7 @@ def invariant_cubes(
     return walk_spheres(inv, ball).cubes
 
 
-@dataclass(frozen=True)
-class FixedLocus:
+class FixedLocus(NamedTuple):
     """The fixed set of the involution inside one invariant cube."""
 
     cube: Cube
@@ -171,8 +167,7 @@ class FixedLocus:
     center: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     """Census of fixed loci inside the reliable part of a ball."""
 
     graph: DefiningGraph

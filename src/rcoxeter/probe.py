@@ -31,7 +31,7 @@ and the profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # build_ball is not called here; it stays a name of this module because
 # bench/tracing.py wraps it.
@@ -54,8 +54,7 @@ def displacement(inv: Involution, v: Word, graph: DefiningGraph) -> int:
     return len(conjugate(v, inv.element, graph))
 
 
-@dataclass(frozen=True)
-class DisplacementProfile:
+class DisplacementProfile(NamedTuple):
     """Per-sphere displacement statistics out to the reliable radius."""
 
     radii: tuple[int, ...]
@@ -91,8 +90,7 @@ def displacement_profile(
     )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Machine-checked verdict for one defining graph at one radius."""
 
     graph_labels: tuple[str, ...]

@@ -12,10 +12,9 @@ enumeration order everywhere is size first, then lexicographic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import DefiningGraph
+from .graphs import DefiningGraph, _Frozen
 
 #: A spherical subset: a strictly increasing tuple of generator indices.
 Clique = tuple[int, ...]
@@ -116,12 +115,14 @@ def maximum_spherical(graph: DefiningGraph) -> Clique:
     return best
 
 
-@dataclass(frozen=True)
-class SphericalPoset:
+class SphericalPoset(_Frozen):
     """All spherical subsets of a graph, ordered by inclusion."""
 
-    graph: DefiningGraph
-    elements: tuple[Clique, ...]
+    __slots__ = ("graph", "elements")
+
+    def __init__(self, graph: DefiningGraph, elements: tuple[Clique, ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "elements", elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -146,8 +147,7 @@ def spherical_poset(graph: DefiningGraph) -> SphericalPoset:
 Chain = tuple[Clique, ...]
 
 
-@dataclass(frozen=True)
-class ChamberComplex:
+class ChamberComplex(NamedTuple):
     """The order complex of the spherical poset.
 
     Simplices are the nonempty chains of the poset; the empty subset acts

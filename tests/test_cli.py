@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -100,6 +99,14 @@ class TestBallCommands:
         assert payload["by_dimension"][2]["cubes"] == [
             {"base": "", "axis": ["a", "b"]}
         ]
+
+    def test_cubes_outside_the_ball_spells_the_vertex(self, capsys):
+        code, out, err = run(
+            capsys, "cubes", "--preset", "pentagon", "--radius", "3",
+            "v0", "v0", "v0", "v1", "v2", "v3",
+        )
+        assert (code, out) == (1, "")
+        assert err == "rcoxeter: vertex 'v0 v1 v2 v3' is not in the ball\n"
 
     def test_fixed_report(self, capsys):
         code, out, _ = run(capsys, "fixed", "--preset", "dinfty", "--radius", "4")
@@ -284,7 +291,7 @@ class TestCertify:
         import rcoxeter.cli as cli_module
 
         real = certify(preset("grid"), 4)
-        broken = dataclasses.replace(real, antipodal=False, verdict=False)
+        broken = real._replace(antipodal=False, verdict=False)
         monkeypatch.setattr(cli_module, "certify", lambda *a, **k: broken)
         code, out, err = run(capsys, "certify", "--preset", "grid", "--radius", "4")
         assert code == 2

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from rcoxeter import (
@@ -154,5 +152,5 @@ class TestCertify:
             and certificate.antipodal
             and certificate.displacement_monotone
         )
-        broken = dataclasses.replace(certificate, antipodal=False)
+        broken = certificate._replace(antipodal=False)
         assert broken.as_dict()["antipodal"] is False
