@@ -32,10 +32,9 @@ _SUBMODULE_OF = {
         " ResourceCapError ball_census build_ball canonical_cube cubes_at_vertex"
         " export_complex links_flag_check sphere",
         "involution": "FixedLocus FixedPointReport Involution SphereWalk"
-        " antipodal_check build_involution conjugates fixed_loci invariant_cubes"
+        " antipodal_check build_involution fixed_loci invariant_cubes"
         " walk_spheres",
-        "probe": "Certificate DisplacementProfile certify displacement"
-        " displacement_profile",
+        "probe": "Certificate DisplacementProfile certify displacement_profile",
     }.items()
     for name in names.split()
 }

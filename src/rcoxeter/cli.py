@@ -24,7 +24,7 @@ from .davis import (
 from .graphs import DefiningGraph, GraphParseError, parse_graph, preset, PRESETS
 from .involution import FixedPointReport, Involution, build_involution, fixed_loci
 from .probe import Certificate, DisplacementProfile, certify, displacement_profile
-from .spherical import maximum_spherical, spherical_poset
+from .spherical import _clique_counts, maximum_spherical, spherical_poset
 from .words import has_order_two, multiply, parse_word, word_to_text
 
 
@@ -34,6 +34,10 @@ class UnsupportedFormatError(ValueError):
 
 class _UsageError(Exception):
     pass
+
+
+class _CliqueCapError(Exception):
+    """The graph has more cliques than the vertex cap allows to list."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,7 +69,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rcoxeter", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, help: str, radius: bool = False, fmt: bool = False):
+    def add(
+        name: str, help: str, radius: bool = False, fmt: bool = False, cap: str = ""
+    ):
         p = sub.add_parser(name, help=help)
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--preset", choices=sorted(PRESETS), help="built-in graph")
@@ -77,9 +83,11 @@ def _build_parser() -> _Parser:
         )
         if radius:
             p.add_argument("--radius", type=int, required=True, metavar="N")
+            cap = "the ball"
+        if cap:
             p.add_argument(
                 "--max-vertices", type=int, default=1_000_000, metavar="N",
-                help="abort if the ball would exceed this many vertices",
+                help=f"abort if {cap} would exceed this many vertices",
             )
         if fmt:
             p.add_argument("--format", choices=("json", "dot"), default="json")
@@ -92,7 +100,7 @@ def _build_parser() -> _Parser:
     add("order", "order of an element: 1, 2 or infinity").add_argument(
         "word", nargs="+"
     )
-    add("cliques", "all spherical subsets", fmt=True)
+    add("cliques", "all spherical subsets", fmt=True, cap="the chamber")
     add("maxclique", "the maximum spherical subset", fmt=True)
     add("gamma", "the involution built from a maximum clique", fmt=True)
     add("ball", "census of a Davis-complex ball", radius=True, fmt=True)
@@ -147,6 +155,16 @@ def _run(args) -> tuple[str, int]:
             order = "infinity"
         return order + "\n", 0
     if args.command == "cliques":
+        # The cliques are the vertices of the chamber, so they answer to
+        # the vertex cap; each size is counted before it is listed.
+        total = 0
+        for size in _clique_counts(graph.n, graph.neighbor_masks):
+            total += size
+            if total > args.max_vertices:
+                raise _CliqueCapError(
+                    f"vertex cap {args.max_vertices} exceeded; the graph has"
+                    f" at least {total} cliques"
+                )
         poset = spherical_poset(graph)
         payload = [[graph.labels[g] for g in clique] for clique in poset]
         return _dump_json(payload), 0
@@ -207,7 +225,7 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return 0 if not exc.code else 1
-    except ResourceCapError as exc:
+    except (ResourceCapError, _CliqueCapError) as exc:
         print(f"rcoxeter: {exc}", file=sys.stderr)
         return 3
     except (GraphParseError, ValueError, OSError) as exc:

@@ -35,6 +35,7 @@ from .graphs import DefiningGraph
 # bench/tracing.py wraps it.
 from .spherical import (  # noqa: F401
     Clique,
+    _clique_counts,
     _clique_levels,
     _cliques_of_masks,
     _mask_of,
@@ -77,12 +78,6 @@ class Cube(NamedTuple):
     def dimension(self) -> int:
         return len(self.axis)
 
-    def vertices(self, graph: DefiningGraph) -> tuple[Word, ...]:
-        out = [self.base]
-        for g in self.axis:
-            out.extend(multiply(w, (g,), graph) for w in list(out))
-        return tuple(out)
-
 
 class Ball:
     """A radius-L ball: shortlex-ordered vertices and complete cubes, sorted
@@ -90,7 +85,14 @@ class Ball:
 
     Each vertex indexes the cubes containing it in one list per dimension,
     0 up to the top dimension, each list in ``cubes`` order; the keys of
-    that index are the vertex set.
+    that index are the vertex set.  The index is built by walking edges:
+    a cube's vertices are its base times the subsets of its axis, reached
+    from the base one axis letter at a time, and each such step v -> v*g is
+    an ascent, since the axis is a clique that misses the base's descents.
+    Each ascent edge is multiplied once and remembered by vertex number and
+    generator, so building the index costs one ``multiply`` per edge of the
+    ball.  ``has_cube`` reads the index at the cube's base, where a stored
+    cube is always filed.
     """
 
     def __init__(
@@ -115,20 +117,35 @@ class Ball:
         for r in range(1, depth + 2):
             offsets[r] += offsets[r - 1]
         self._offsets = offsets
-        self._cube_set = frozenset(cubes)
         dimensions = range(max((len(axis) for _, axis in cubes), default=0) + 1)
-        by_vertex = {w: [[] for _ in dimensions] for w in vertices}
+        number = {w: i for i, w in enumerate(vertices)}
+        groups = [[[] for _ in dimensions] for _ in vertices]
+        # up[i * n + g] is the number of vertex i times g, or -1 until the
+        # edge is first walked.
+        n = graph.n
+        up = [-1] * (len(vertices) * n)
         for cube in cubes:
-            d = len(cube.axis)
-            for w in cube.vertices(graph):
-                by_vertex[w][d].append(cube)
-        self._cubes_by_vertex = by_vertex
+            base, axis = cube
+            corners = [number[base]]
+            for g in axis:
+                for i in corners[:]:
+                    j = up[i * n + g]
+                    if j < 0:
+                        j = up[i * n + g] = number[multiply(vertices[i], (g,), graph)]
+                    corners.append(j)
+            d = len(axis)
+            for i in corners:
+                groups[i][d].append(cube)
+        self._cubes_by_vertex = dict(zip(vertices, groups))
 
     def __contains__(self, vertex: Word) -> bool:
         return vertex in self._cubes_by_vertex
 
     def has_cube(self, cube: Cube) -> bool:
-        return cube in self._cube_set
+        base, axis = cube
+        groups = self._cubes_by_vertex.get(base)
+        d = len(axis)
+        return groups is not None and d < len(groups) and cube in groups[d]
 
     def cell_counts(self) -> tuple[int, ...]:
         """Number of stored cubes per dimension."""
@@ -218,16 +235,12 @@ def ball_census(
     # t^radius.  A clique T is also a vertex of length |T|, the product of
     # its generators, so once the cliques of at most s generators outnumber
     # the cap, the counts so far fix the series up to t^s and the walk
-    # below raises by radius s.  The cliques of size s are counted from
-    # their parents' extensions, never listed.
+    # below raises by radius s.  Each size is counted from its parents'
+    # extension masks before it is built, and no clique is ever listed.
     by_size: list[int] = []
-    for level in _clique_levels(graph.n, graph.neighbor_masks):
-        by_size.append(len(level))
-        if len(by_size) > radius:
-            break
-        following = sum(above.bit_count() for _, above in level)
-        if sum(by_size) + following > max_vertices:
-            by_size.append(following)
+    for size in _clique_counts(graph.n, graph.neighbor_masks):
+        by_size.append(size)
+        if len(by_size) > radius or sum(by_size) > max_vertices:
             break
     by_size += [0] * (k + 1 - len(by_size))
     vertices = 0
@@ -305,7 +318,9 @@ def build_ball(
     for r, level in enumerate(levels):
         fitting = [(c, mask) for c, mask in cliques if len(c) <= radius - r]
         for w, _, descents, _ in level:
-            cubes.extend(Cube(w, c) for c, mask in fitting if not mask & descents)
+            cubes += [
+                tuple.__new__(Cube, (w, c)) for c, mask in fitting if not mask & descents
+            ]
     return Ball(graph, radius, vertices, tuple(cubes), census.reliable_radius)
 
 

@@ -88,11 +88,6 @@ def sphere_states(
     return _spheres(graph, ball.radius - inv.n, inv.element, step)
 
 
-def conjugates(inv: Involution, ball: Ball | BallCensus) -> dict[Word, Word]:
-    """Map every vertex v within the reliable radius to v^-1 * gamma * v."""
-    return {w: conj for level in sphere_states(inv, ball) for w, _, _, conj in level}
-
-
 class SphereWalk(NamedTuple):
     """What one walk of the spheres up to the reliable radius keeps.
 

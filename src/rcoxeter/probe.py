@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-# build_ball is not called here; it stays a name of this module because
-# bench/tracing.py wraps it.
+# build_ball and conjugate are not called here; they stay names of this
+# module because bench/tracing.py wraps them.
 from .davis import Ball, BallCensus, ball_census, build_ball  # noqa: F401
 from .graphs import DefiningGraph
 from .involution import (
@@ -46,12 +46,7 @@ from .involution import (
     walk_spheres,
 )
 from .spherical import maximum_spherical
-from .words import Word, conjugate, has_order_two, word_to_text
-
-
-def displacement(inv: Involution, v: Word, graph: DefiningGraph) -> int:
-    """Distance from v to gamma*v: the length of v^-1 * gamma * v."""
-    return len(conjugate(v, inv.element, graph))
+from .words import conjugate, has_order_two, word_to_text  # noqa: F401
 
 
 class DisplacementProfile(NamedTuple):

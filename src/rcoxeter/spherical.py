@@ -68,6 +68,26 @@ def _clique_levels(n: int, masks: tuple[int, ...]) -> Iterator[list[tuple[Clique
         ]
 
 
+def _clique_counts(n: int, masks: tuple[int, ...]) -> Iterator[int]:
+    """Yield the number of cliques of each size, from the empty clique on,
+    as ``_clique_levels`` would list them, but keeping only each clique's
+    extension mask, never the clique.
+
+    A size is counted from its parents' masks before its own masks are
+    built, so a caller that stops on a count allocates nothing for it.
+    """
+    level = [(1 << n) - 1]
+    yield 1
+    while True:
+        size = sum(above.bit_count() for above in level)
+        if not size:
+            return
+        yield size
+        level = [
+            above & masks[v] >> v + 1 << v + 1 for above in level for v in _bits(above)
+        ]
+
+
 def _cliques_of_masks(n: int, masks: tuple[int, ...]) -> tuple[Clique, ...]:
     """All cliques of an n-vertex graph given as neighbor bitmasks, in
     size-then-lexicographic order, starting with the empty clique."""

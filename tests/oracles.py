@@ -13,10 +13,13 @@ recomputed by walking an enumerated ball, where the library streams the
 automaton's spheres without one.  Canonical cubes are recomputed by
 greedy right multiplication, where the library deletes descents in one
 pass.  Exports are re-serialized the way the library did before it built
-each vertex text from its parent's: one ``json.dumps`` of the whole payload
-and one label join per word.  Helpers only the tests use (a determinant, the maximal elements of
-the spherical poset, the cube sort key) live here too.  Expected values
-frozen into the tests were produced by these routines.
+each vertex text from its parent's: one ``json.dumps`` of the whole
+payload and one label join per word.  Helpers only the tests use (a
+determinant, the maximal elements of the spherical poset, the cube sort
+key) live here too, and so do three former library names that lost their
+last caller there: ``cube_vertices`` (once ``Cube.vertices``),
+``conjugates`` and ``displacement``.  Expected values frozen into the
+tests were produced by these routines.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from rcoxeter import (
     support,
     word_to_text,
 )
+from rcoxeter.involution import sphere_states
 
 
 def determinant(matrix: Matrix) -> int:
@@ -86,6 +90,16 @@ def maximal_elements(poset: SphericalPoset) -> tuple[Clique, ...]:
 def cube_sort_key(cube: Cube):
     """The order of ``Ball.cubes``: base length, then base, then axis."""
     return (len(cube.base), cube.base, cube.axis)
+
+
+def cube_vertices(cube: Cube, graph: DefiningGraph) -> tuple[Word, ...]:
+    """The 2^k vertices of a cube, its base times each subset of its axis,
+    by one ``multiply`` per vertex; the library's ``Ball`` walks each
+    ascent edge once instead."""
+    out = [cube.base]
+    for g in cube.axis:
+        out.extend(multiply(w, (g,), graph) for w in list(out))
+    return tuple(out)
 
 
 def greedy_canonical_cube(g: Word, axis, graph: DefiningGraph) -> Cube:
@@ -293,10 +307,11 @@ def cubes_through(ball: Ball, v) -> dict[int, tuple[Cube, ...]]:
     by canonicalizing that coset greedily for every clique T, without the
     ball's per-vertex index or the library's ``canonical_cube``.
     """
+    stored = set(ball.cubes)
     found = []
     for T in all_cliques(ball.graph):
         cube = greedy_canonical_cube(v, T, ball.graph)
-        if ball.has_cube(cube):
+        if cube in stored:
             found.append(cube)
     found.sort(key=cube_sort_key)
     grouped: dict[int, list[Cube]] = {}
@@ -314,6 +329,17 @@ def assert_same_ball(ball: Ball, oracle: Ball) -> None:
     assert ball.reliable_radius == oracle.reliable_radius
     for v in oracle.vertices:
         assert cubes_at_vertex(ball, v) == cubes_through(oracle, v)
+
+
+def conjugates(inv: Involution, ball) -> dict:
+    """Map every vertex v of a ball or census within its reliable radius to
+    v^-1 * gamma * v, read off the library's streaming ``sphere_states``."""
+    return {w: conj for level in sphere_states(inv, ball) for w, _, _, conj in level}
+
+
+def displacement(inv: Involution, v: Word, graph: DefiningGraph) -> int:
+    """Distance from v to gamma*v: the length of v^-1 * gamma * v."""
+    return len(conjugate(v, inv.element, graph))
 
 
 def walked_conjugates(inv: Involution, ball: Ball) -> dict:

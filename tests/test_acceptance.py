@@ -14,7 +14,6 @@ from rcoxeter import (
     build_involution,
     canonical_cube,
     cubes_at_vertex,
-    displacement,
     displacement_profile,
     fixed_loci,
     has_order_two,
@@ -28,6 +27,7 @@ from rcoxeter import (
 from rcoxeter.cli import main
 from oracles import (
     brute_force_cliques,
+    displacement,
     matrix_ball_sphere_sizes,
     random_graph,
     shortlex_class_table,

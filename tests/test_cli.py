@@ -70,6 +70,32 @@ class TestCliqueCommands:
         assert code == 0
         assert json.loads(out) == [[], ["a"], ["b"], ["a", "b"]]
 
+    def test_cliques_cap(self, capsys):
+        # The pentagon has 11 cliques, the vertices of its chamber.
+        code, out, _ = run(capsys, "cliques", "--preset", "pentagon", "--max-vertices", "11")
+        assert code == 0
+        assert len(json.loads(out)) == 11
+        code, out, err = run(capsys, "cliques", "--preset", "pentagon", "--max-vertices", "10")
+        assert (code, out) == (3, "")
+        assert err == "rcoxeter: vertex cap 10 exceeded; the graph has at least 11 cliques\n"
+
+    def test_cliques_of_complete_graph_stop_before_listing(self, tmp_path, capsys):
+        # K20 has 2^20 cliques: counting sizes up to 14 passes the default
+        # cap, and no clique is listed.  Listing them takes over 100 MiB;
+        # the masks of two adjacent sizes take about 9 MiB.
+        path = TestBallsBuilt.complete_graph_file(tmp_path, 20)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "cliques", "--graph", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err == (
+            "rcoxeter: vertex cap 1000000 exceeded; the graph has at least 1026876 cliques\n"
+        )
+        assert peak < 16 * 2**20
+
     def test_gamma_pentagon(self, capsys):
         code, out, _ = run(capsys, "gamma", "--preset", "pentagon")
         assert code == 0

@@ -35,6 +35,7 @@ from oracles import (
     bfs_ball,
     complete_graph,
     cube_sort_key,
+    cube_vertices,
     greedy_canonical_cube,
     matrix_ball_sphere_sizes,
     random_graph,
@@ -458,9 +459,96 @@ class TestFaceClosure:
         for graph, radius in ((PENTAGON, 4), (GRID, 4)):
             ball = build_ball(graph, radius)
             for cube in ball.cubes:
-                for vertex in cube.vertices(graph):
+                corners = cube_vertices(cube, graph)
+                for vertex in corners:
                     assert vertex in ball
-                assert len(set(cube.vertices(graph))) == 2 ** cube.dimension
+                assert len(set(corners)) == 2 ** cube.dimension
+
+
+HAS_CUBE_CASES = (SQUARE, DINFTY, PENTAGON, GRID, complete_graph(5))
+HAS_CUBE_IDS = ("square", "dinfty", "pentagon", "grid", "K5")
+
+
+class TestHasCube:
+    """``has_cube`` reads the per-vertex index at the cube's base; it must
+    answer as membership in the stored cube list does."""
+
+    @pytest.mark.parametrize("graph", HAS_CUBE_CASES, ids=HAS_CUBE_IDS)
+    def test_matches_the_stored_cube_set(self, graph):
+        # Every stored cube, and the coset cube v*W_T of every vertex and
+        # clique; in an infinite group some of those straddle the boundary
+        # and are not stored.
+        ball = build_ball(graph, 5)
+        stored = set(ball.cubes)
+        assert all(ball.has_cube(cube) and ball.has_cube(tuple(cube)) for cube in stored)
+        answers = set()
+        for v in ball.vertices:
+            for clique in spherical_poset(graph):
+                cube = canonical_cube(v, clique, graph)
+                answers.add(ball.has_cube(cube))
+                assert ball.has_cube(cube) == (cube in stored)
+        assert answers == ({True} if graph.is_complete else {True, False})
+
+    @pytest.mark.parametrize("graph", HAS_CUBE_CASES, ids=HAS_CUBE_IDS)
+    def test_non_canonical_cubes(self, graph):
+        # (base*t, axis) with t in the axis is the same coset as a stored
+        # cube, but base*t is not its shortest element.
+        ball = build_ball(graph, 5)
+        stored = set(ball.cubes)
+        tried = 0
+        for base, axis in ball.cubes:
+            for t in axis:
+                moved = Cube(multiply(base, (t,), graph), axis)
+                assert moved not in stored
+                assert not ball.has_cube(moved)
+                tried += 1
+        assert tried > 0
+
+    @pytest.mark.parametrize("graph", HAS_CUBE_CASES, ids=HAS_CUBE_IDS)
+    def test_cubes_based_outside_the_ball(self, graph):
+        # The next sphere (empty for the finite square and K5 groups) and
+        # words that are no normal form at all.
+        ball = build_ball(graph, 5)
+        beyond = sphere(build_ball(graph, 6), 6)
+        assert not any(w in ball for w in beyond)
+        for w in beyond + ((0, 0), (1, 0, 0), (graph.n,)):
+            for axis in ((), (0,), tuple(range(graph.n))):
+                assert not ball.has_cube(Cube(w, axis))
+
+    def test_axis_above_the_top_dimension(self):
+        ball = build_ball(PENTAGON, 5)
+        assert len(ball.cell_counts()) == 3
+        assert not ball.has_cube(Cube(IDENTITY, (0, 1, 2)))
+
+    def test_removed_cube_is_absent(self):
+        full = build_ball(complete_graph(4), 8)
+        missing = full.cubes[-20]
+        kept = tuple(c for c in full.cubes if c != missing)
+        ball = Ball(full.graph, full.radius, full.vertices, kept, full.reliable_radius)
+        assert not ball.has_cube(missing)
+        assert all(ball.has_cube(c) for c in kept)
+
+
+class TestIndexWalksEachEdgeOnce:
+    @pytest.mark.parametrize("graph", HAS_CUBE_CASES, ids=HAS_CUBE_IDS)
+    def test_one_multiply_per_edge(self, monkeypatch, graph):
+        # bench/tracing.py wraps this module-level name and divides the
+        # traced davis.useful_ratio by the count it sees under build_ball,
+        # which is therefore the number of edges of the ball.
+        import rcoxeter.davis as davis_module
+
+        calls = []
+        real = davis_module.multiply
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(davis_module, "multiply", counted)
+        ball = build_ball(graph, 5)
+        edges = ball.cell_counts()[1]
+        assert edges > 0
+        assert len(calls) == edges
 
 
 class TestFlagCondition:

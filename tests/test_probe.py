@@ -5,12 +5,12 @@ from rcoxeter import (
     build_ball,
     build_involution,
     certify,
-    displacement,
     displacement_profile,
     preset,
     sphere,
 )
 from rcoxeter.cli import format_report
+from oracles import displacement
 
 SQUARE = preset("square")
 DINFTY = preset("dinfty")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,9 +11,11 @@ from rcoxeter import (
     preset,
     spherical_poset,
 )
+from rcoxeter.spherical import _clique_counts
 from oracles import (
     brute_force_cliques,
     brute_force_maximum_clique,
+    complete_graph,
     maximal_elements,
     random_graph,
 )
@@ -83,6 +86,33 @@ class TestPoset:
             (2, 3),
             (3, 4),
         )
+
+
+class TestCliqueCounts:
+    def test_counts_match_brute_force_by_size(self):
+        rng = random.Random(41)
+        for graph in ALL_PRESETS + tuple(random_graph(rng, 9) for _ in range(60)):
+            by_size = [0] * (graph.n + 1)
+            for clique in brute_force_cliques(graph):
+                by_size[len(clique)] += 1
+            while not by_size[-1]:
+                by_size.pop()
+            assert list(_clique_counts(graph.n, graph.neighbor_masks)) == by_size
+
+    def test_a_size_is_counted_before_it_is_built(self):
+        # The count of the 3-cliques of K24 comes from the masks of the
+        # 2-cliques, before any mask of a 3-clique exists.
+        graph = complete_graph(24)
+        counts = _clique_counts(graph.n, graph.neighbor_masks)
+        assert [next(counts) for _ in range(3)] == [1, 24, 276]
+        tracemalloc.start()
+        try:
+            assert next(counts) == 2024
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 276 masks of the 2-cliques, not the 2,024 of the 3-cliques.
+        assert peak < 2024 * 28
 
 
 class TestMaximumSpherical:
