@@ -10,21 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterator
 
-from .davis import (
-    Ball,
-    BallCensus,
-    ResourceCapError,
-    ball_census,
-    build_ball,
-    cubes_at_vertex,
-    export_complex,
-)
+# The other submodules are imported by the commands that use them, so
+# that --help and the word commands load only these two.
 from .graphs import DefiningGraph, GraphParseError, parse_graph, preset, PRESETS
-from .involution import FixedPointReport, Involution, build_involution, fixed_loci
-from .probe import Certificate, DisplacementProfile, certify, displacement_profile
-from .spherical import _clique_counts, maximum_spherical, spherical_poset
 from .words import has_order_two, multiply, parse_word, word_to_text
 
 
@@ -47,6 +39,10 @@ class _Parser(argparse.ArgumentParser):
 
 def format_report(value, format: str = "json") -> str:
     """Canonical serialization of a library report, newline-terminated."""
+    from .davis import Ball, BallCensus, export_complex
+    from .involution import FixedPointReport, Involution
+    from .probe import Certificate, DisplacementProfile
+
     if isinstance(value, Ball):
         return export_complex(value, format)
     if isinstance(
@@ -63,6 +59,22 @@ def format_report(value, format: str = "json") -> str:
 
 def _dump_json(payload) -> str:
     return json.dumps(payload) + "\n"
+
+
+def _cliques_json(graph: DefiningGraph) -> Iterator[str]:
+    """The text ``json.dumps`` gives of every clique as a list of labels, in
+    size-then-lexicographic order, in pieces of one size each, so that the
+    cliques and the text of only one size are held at a time."""
+    from .spherical import _clique_levels
+
+    quoted = [encode_basestring_ascii(label) for label in graph.labels]
+    opening = "["
+    for level in _clique_levels(graph.n, graph.neighbor_masks):
+        yield opening + ", ".join(
+            f"[{', '.join([quoted[g] for g in clique])}]" for clique, _ in level
+        )
+        opening = ", "
+    yield "]\n"
 
 
 def _build_parser() -> _Parser:
@@ -133,7 +145,8 @@ def _word_out(word, graph: DefiningGraph) -> str:
     return text
 
 
-def _run(args) -> tuple[str, int]:
+def _run(args) -> tuple[str | Iterator[str], int]:
+    """The command's output, whole or in pieces, and its exit code."""
     fmt = getattr(args, "format", "json")
     if fmt != "json" and args.command != "export":
         raise UnsupportedFormatError(
@@ -155,6 +168,8 @@ def _run(args) -> tuple[str, int]:
             order = "infinity"
         return order + "\n", 0
     if args.command == "cliques":
+        from .spherical import _clique_counts
+
         # The cliques are the vertices of the chamber, so they answer to
         # the vertex cap; each size is counted before it is listed.
         total = 0
@@ -165,11 +180,15 @@ def _run(args) -> tuple[str, int]:
                     f"vertex cap {args.max_vertices} exceeded; the graph has"
                     f" at least {total} cliques"
                 )
-        poset = spherical_poset(graph)
-        payload = [[graph.labels[g] for g in clique] for clique in poset]
-        return _dump_json(payload), 0
+        return _cliques_json(graph), 0
     if args.command == "maxclique":
+        from .spherical import maximum_spherical
+
         return _dump_json([graph.labels[g] for g in maximum_spherical(graph)]), 0
+    from .davis import ball_census, build_ball, cubes_at_vertex
+    from .involution import build_involution, fixed_loci
+    from .probe import certify, displacement_profile
+
     if args.command == "gamma":
         return format_report(build_involution(graph), args.format), 0
     if args.command == "certify":
@@ -216,22 +235,33 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         text, code = _run(args)
+        pieces = (text,) if isinstance(text, str) else text
         if args.out:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as out:
+                out.writelines(pieces)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help
         return 0 if not exc.code else 1
-    except (ResourceCapError, _CliqueCapError) as exc:
-        print(f"rcoxeter: {exc}", file=sys.stderr)
-        return 3
     except (GraphParseError, ValueError, OSError) as exc:
         print(f"rcoxeter: {exc}", file=sys.stderr)
         return 1
+    except _cap_errors() as exc:
+        print(f"rcoxeter: {exc}", file=sys.stderr)
+        return 3
     return code
+
+
+def _cap_errors() -> tuple[type[Exception], ...]:
+    # Called only when an exception gets past the clauses above it in
+    # ``main``, none of which catches a cap error, so a command that never
+    # loads ``davis`` does not load it for this.
+    from .davis import ResourceCapError
+
+    return ResourceCapError, _CliqueCapError
 
 
 def entry() -> None:

@@ -37,7 +37,6 @@ from .spherical import (  # noqa: F401
     Clique,
     _clique_counts,
     _clique_levels,
-    _cliques_of_masks,
     _mask_of,
     all_cliques,
     maximum_spherical,
@@ -393,32 +392,49 @@ class FlagCheckReport(NamedTuple):
 def links_flag_check(ball: Ball) -> FlagCheckReport:
     """Check Gromov's flag condition at every reliably-complete vertex.
 
-    At each vertex the edges correspond to generators.  Whenever a set of
-    edges pairwise spans stored squares, the cube on the whole set must be
-    stored too; the first missing cube is reported as a violation.
+    At each vertex the edges correspond to generators.  Whenever three or
+    more edges pairwise span stored squares, the cube on the whole set must
+    be stored too; the first missing cube is reported as a violation, with
+    ``vertices_checked`` counted up to and including its vertex.
+
+    The reliable vertices are a prefix of the shortlex order.  At each one
+    the stored squares become one neighbour bitmask per generator.  Three
+    such edges form a triangle: a square whose two generators share a
+    neighbour.  A vertex without one is passed over; otherwise only the
+    squares whose two edges are stored at the vertex count, and the
+    cliques of three or more of their masks are tested, in size-then-
+    lexicographic order.  A square missing one of its edges, possible only
+    in a hand-built ``Ball``, joins no two edges and is ignored.
     """
-    checked = 0
-    for v in ball.vertices:
-        if len(v) > ball.reliable_radius:
+    graph = ball.graph
+    n = graph.n
+    offsets = ball._offsets
+    # offsets[r + 1] vertices have length at most r, for r from -1 up to
+    # the longest length; a larger reliable radius covers the whole ball.
+    end = offsets[max(0, min(ball.reliable_radius + 1, len(offsets) - 1))]
+    reliable = ball.vertices[:end]
+    by_vertex = ball._cubes_by_vertex
+    for checked, v in enumerate(reliable, 1):
+        groups = by_vertex[v]
+        if len(groups) < 3:
             continue
-        checked += 1
-        at_v = cubes_at_vertex(ball, v)
-        edge_gens = sorted(cube.axis[0] for cube in at_v.get(1, ()))
-        square_pairs = {cube.axis for cube in at_v.get(2, ())}
-        local = {g: i for i, g in enumerate(edge_gens)}
-        masks = [0] * len(edge_gens)
-        for s, t in square_pairs:
-            masks[local[s]] |= 1 << local[t]
-            masks[local[t]] |= 1 << local[s]
-        for local_clique in _cliques_of_masks(len(edge_gens), tuple(masks)):
-            # Each pair spans a square read from the index above; only a
-            # larger clique can lack its cube.
-            if len(local_clique) < 3:
-                continue
-            axis = tuple(edge_gens[i] for i in local_clique)
-            if not ball.has_cube(canonical_cube(v, axis, ball.graph)):
-                return FlagCheckReport(False, (FlagViolation(v, axis),), checked)
-    return FlagCheckReport(True, (), checked)
+        masks = [0] * n
+        triangle = 0
+        for _, (s, t) in groups[2]:
+            triangle |= masks[s] & masks[t]
+            masks[s] |= 1 << t
+            masks[t] |= 1 << s
+        if not triangle:
+            continue
+        edges = 0
+        for _, (g,) in groups[1]:
+            edges |= 1 << g
+        local = tuple(m & edges if edges >> g & 1 else 0 for g, m in enumerate(masks))
+        for level in islice(_clique_levels(n, local), 3, None):
+            for axis, _ in level:
+                if not ball.has_cube(canonical_cube(v, axis, graph)):
+                    return FlagCheckReport(False, (FlagViolation(v, axis),), checked)
+    return FlagCheckReport(True, (), end)
 
 
 def _vertex_texts(ball: Ball, labels: Sequence[str]) -> tuple[dict[Word, int], list[str]]:

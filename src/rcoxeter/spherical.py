@@ -88,15 +88,11 @@ def _clique_counts(n: int, masks: tuple[int, ...]) -> Iterator[int]:
         ]
 
 
-def _cliques_of_masks(n: int, masks: tuple[int, ...]) -> tuple[Clique, ...]:
-    """All cliques of an n-vertex graph given as neighbor bitmasks, in
-    size-then-lexicographic order, starting with the empty clique."""
-    return tuple(clique for level in _clique_levels(n, masks) for clique, _ in level)
-
-
 def all_cliques(graph: DefiningGraph) -> tuple[Clique, ...]:
-    """Every clique of the defining graph, the empty one included."""
-    return _cliques_of_masks(graph.n, graph.neighbor_masks)
+    """Every clique of the defining graph, the empty one included, in
+    size-then-lexicographic order."""
+    levels = _clique_levels(graph.n, graph.neighbor_masks)
+    return tuple(clique for level in levels for clique, _ in level)
 
 
 def _maximal_clique_masks(n: int, masks: tuple[int, ...]) -> list[int]:

@@ -14,9 +14,11 @@ automaton's spheres without one.  Canonical cubes are recomputed by
 greedy right multiplication, where the library deletes descents in one
 pass.  Exports are re-serialized the way the library did before it built
 each vertex text from its parent's: one ``json.dumps`` of the whole
-payload and one label join per word.  Helpers only the tests use (a
-determinant, the maximal elements of the spherical poset, the cube sort
-key) live here too, and so do three former library names that lost their
+payload and one label join per word.  The flag condition is rechecked
+the way the library did before it read square bitmasks, with every
+subset of the edges at a vertex tried in turn.  Helpers only the tests
+use (a determinant, the maximal elements of the spherical poset, the cube
+sort key) live here too, and so do three former library names that lost their
 last caller there: ``cube_vertices`` (once ``Cube.vertices``),
 ``conjugates`` and ``displacement``.  Expected values frozen into the
 tests were produced by these routines.
@@ -35,6 +37,8 @@ from rcoxeter import (
     Cube,
     DefiningGraph,
     DisplacementProfile,
+    FlagCheckReport,
+    FlagViolation,
     Involution,
     Matrix,
     ResourceCapError,
@@ -318,6 +322,34 @@ def cubes_through(ball: Ball, v) -> dict[int, tuple[Cube, ...]]:
     for cube in found:
         grouped.setdefault(cube.dimension, []).append(cube)
     return {dim: tuple(cubes) for dim, cubes in sorted(grouped.items())}
+
+
+def reference_flag_check(ball: Ball) -> FlagCheckReport:
+    """``links_flag_check`` the way the library did it before it read square
+    bitmasks: at every vertex within the reliable radius, the sorted edge
+    generators, the set of square axes, and every subset of three or more
+    edges in size-then-lexicographic order whose pairs all span squares.
+    Such a subset's cube is looked up, canonicalized greedily, in the set of
+    stored cubes; the library's clique enumeration, ``canonical_cube`` and
+    ``has_cube`` are not used.
+    """
+    stored = set(ball.cubes)
+    checked = 0
+    for v in ball.vertices:
+        if len(v) > ball.reliable_radius:
+            continue
+        checked += 1
+        at_v = cubes_at_vertex(ball, v)
+        edge_gens = sorted(cube.axis[0] for cube in at_v.get(1, ()))
+        square_pairs = {cube.axis for cube in at_v.get(2, ())}
+        for size in range(3, len(edge_gens) + 1):
+            for axis in itertools.combinations(edge_gens, size):
+                pairs = itertools.combinations(axis, 2)
+                if not all(pair in square_pairs for pair in pairs):
+                    continue
+                if greedy_canonical_cube(v, axis, ball.graph) not in stored:
+                    return FlagCheckReport(False, (FlagViolation(v, axis),), checked)
+    return FlagCheckReport(True, (), checked)
 
 
 def assert_same_ball(ball: Ball, oracle: Ball) -> None:

@@ -4,12 +4,13 @@ import json
 import os
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcoxeter import build_ball, certify, preset
+from rcoxeter import all_cliques, build_ball, certify, parse_graph, preset
 from rcoxeter.cli import UnsupportedFormatError, format_report, main
 
 
@@ -95,6 +96,29 @@ class TestCliqueCommands:
             "rcoxeter: vertex cap 1000000 exceeded; the graph has at least 1026876 cliques\n"
         )
         assert peak < 16 * 2**20
+
+    def test_cliques_are_written_one_size_at_a_time(self, tmp_path, capsys):
+        # K14 has 16,384 cliques, 736 KiB of JSON.  Written size by size,
+        # the listing never holds the whole text: the peak stays under
+        # twice the output, where one json.dumps of the full payload
+        # peaks near nine times it.
+        path = TestBallsBuilt.complete_graph_file(tmp_path, 14)
+        out_path = tmp_path / "cliques.json"
+        argv = ["cliques", "--graph", path, "--out", str(out_path)]
+        assert main(argv) == 0  # the imports are not the listing's
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        text = out_path.read_text()
+        graph = parse_graph(Path(path).read_text())
+        payload = [[graph.labels[g] for g in clique] for clique in all_cliques(graph)]
+        assert len(payload) == 2**14
+        assert text == json.dumps(payload) + "\n"
+        assert peak < 2 * len(text)
 
     def test_gamma_pentagon(self, capsys):
         code, out, _ = run(capsys, "gamma", "--preset", "pentagon")
@@ -314,11 +338,12 @@ class TestCertify:
         assert "radius" in err
 
     def test_failing_verdict_exits_two(self, capsys, monkeypatch):
-        import rcoxeter.cli as cli_module
+        # The CLI imports certify from probe when the command runs.
+        import rcoxeter.probe as probe_module
 
         real = certify(preset("grid"), 4)
         broken = real._replace(antipodal=False, verdict=False)
-        monkeypatch.setattr(cli_module, "certify", lambda *a, **k: broken)
+        monkeypatch.setattr(probe_module, "certify", lambda *a, **k: broken)
         code, out, err = run(capsys, "certify", "--preset", "grid", "--radius", "4")
         assert code == 2
         assert json.loads(out)["verdict"] == "fail"

@@ -40,6 +40,7 @@ from oracles import (
     matrix_ball_sphere_sizes,
     random_graph,
     reference_export,
+    reference_flag_check,
 )
 
 SQUARE = preset("square")
@@ -578,6 +579,45 @@ class TestFlagCondition:
         ball = build_ball(PENTAGON, 3)
         expected = sum(1 for w in ball.vertices if len(w) <= ball.reliable_radius)
         assert links_flag_check(ball).vertices_checked == expected
+
+    def test_square_missing_an_edge_is_ignored(self):
+        # Without the edge ((), (0,)) the squares on axes (0, 1) and (0, 2)
+        # at the identity and at (0,) join no two edges there, so the
+        # 3-cube on them is owed nowhere.
+        full = build_ball(complete_graph(3), 6)
+        missing = Cube(IDENTITY, (0,))
+        assert missing in full.cubes
+        cubes = tuple(cube for cube in full.cubes if cube != missing)
+        ball = Ball(full.graph, full.radius, full.vertices, cubes, full.reliable_radius)
+        assert links_flag_check(ball) == (True, (), 8)
+        # Without the 3-cube too, the first vertex owed it is (1,), the
+        # third in shortlex order, where all three edges are stored.
+        cubes = tuple(cube for cube in cubes if cube != Cube(IDENTITY, (0, 1, 2)))
+        ball = Ball(full.graph, full.radius, full.vertices, cubes, full.reliable_radius)
+        report = links_flag_check(ball)
+        assert report == (False, (FlagViolation((1,), (0, 1, 2)),), 3)
+        assert report == reference_flag_check(ball)
+
+    @pytest.mark.parametrize(
+        "n, radius, checked",
+        [(4, 2, 0), (4, 3, 0), (4, 4, 1), (8, 8, 1), (4, 10, 16)],
+        ids=["K4-r2", "K4-r3", "K4-r4", "K8-r8", "K4-r10"],
+    )
+    def test_reliable_radius_edge_cases(self, n, radius, checked):
+        # Reliable radius -2, -1, 0, 0, and 6: past the last sphere (4) of
+        # the whole group, so every vertex is checked.
+        ball = build_ball(complete_graph(n), radius)
+        assert ball.reliable_radius == radius - n
+        report = links_flag_check(ball)
+        assert report == reference_flag_check(ball)
+        assert report == (True, (), checked)
+
+    def test_line_stores_no_squares(self):
+        ball = build_ball(DINFTY, 100)
+        assert len(ball.cell_counts()) == 2
+        report = links_flag_check(ball)
+        assert report == reference_flag_check(ball)
+        assert report == (True, (), 199)
 
 
 class TestExport:

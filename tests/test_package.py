@@ -81,6 +81,69 @@ class TestStartup:
         assert "dataclasses" not in steps[2]
 
 
+#: Runs one CLI command in process and prints the submodules it loaded.
+COMMAND_SCRIPT = """
+import contextlib, io, sys
+from rcoxeter.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(repr((code, sorted(m for m in sys.modules if m.startswith("rcoxeter.")))))
+"""
+
+WORD_MODULES = ["rcoxeter.cli", "rcoxeter.graphs", "rcoxeter.words"]
+
+
+class TestCommandImports:
+    """Each command loads the submodules it uses, and no others."""
+
+    @staticmethod
+    def loaded(*argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", COMMAND_SCRIPT, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return ast.literal_eval(proc.stdout)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["nf", "--preset", "pentagon", "v1 v0"],
+            ["mul", "--preset", "pentagon", "v1", "v0"],
+            ["order", "--preset", "dinfty", "a b"],
+        ],
+        ids=["help", "nf", "mul", "order"],
+    )
+    def test_help_and_word_commands_load_only_graphs_and_words(self, argv):
+        assert self.loaded(*argv) == (0, WORD_MODULES)
+
+    def test_bad_word_loads_only_graphs_and_words(self):
+        assert self.loaded("nf", "--preset", "square", "xyz") == (1, WORD_MODULES)
+
+    def test_clique_commands_add_spherical(self):
+        expected = sorted(WORD_MODULES + ["rcoxeter.spherical"])
+        assert self.loaded("cliques", "--preset", "grid") == (0, expected)
+        assert self.loaded("maxclique", "--preset", "grid") == (0, expected)
+
+    def test_certify_loads_every_module_it_runs(self):
+        code, loaded = self.loaded("certify", "--preset", "pentagon", "--radius", "4")
+        assert code == 0
+        assert set(loaded) >= {
+            "rcoxeter.davis", "rcoxeter.involution", "rcoxeter.probe", "rcoxeter.spherical"
+        }
+
+    def test_cap_error_still_exits_three(self):
+        code, loaded = self.loaded("ball", "--preset", "pentagon", "--radius", "9",
+                                   "--max-vertices", "5")
+        assert code == 3
+        assert "rcoxeter.davis" in loaded
+
+
 class TestPublicNames:
     def test_every_name_is_the_submodule_object(self):
         for name in rcoxeter.__all__:

@@ -7,19 +7,23 @@ algorithm in ``oracles`` and the reflection matrices share no code with
 ``rcoxeter.words``; the breadth-first ball in ``oracles`` shares none with
 ``rcoxeter.davis.build_ball``, and the greedy canonical cube none with
 ``rcoxeter.davis.canonical_cube``.  The export is checked byte for byte
-against the one-``json.dumps`` serializer in ``oracles``, and the one
+against the one-``json.dumps`` serializer in ``oracles``, the one
 sphere walk ``certify`` shares against the references that walk an
-enumerated ball.  Examples are derandomized so every run checks the same
-cases.
+enumerated ball, and the bitmask flag check against the subset-by-subset
+reference, on whole balls and on balls missing one cube.  Examples are
+derandomized so every run checks the same cases.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcoxeter import (
+    Ball,
     DefiningGraph,
+    PRESETS,
     all_cliques,
     ball_census,
     build_ball,
@@ -28,6 +32,7 @@ from rcoxeter import (
     displacement_profile,
     export_complex,
     fixed_loci,
+    links_flag_check,
     matrix_product,
     maximum_spherical,
     multiply,
@@ -39,10 +44,12 @@ from rcoxeter import (
 from oracles import (
     assert_same_ball,
     bfs_ball,
+    complete_graph,
     filtered_invariant_cubes,
     greedy_canonical_cube,
     random_graph,
     reference_export,
+    reference_flag_check,
     two_phase_multiply,
     two_phase_normal_form,
     walked_profile,
@@ -210,3 +217,50 @@ def test_export_matches_reference(graph, radius):
         assert dot == reference_export(ball, "dot")
     # Escaping is per label, so it equals the reference on escaped labels.
     assert dot == reference_export(build_ball(dot_escaped(graph), radius), "dot")
+
+
+def without(ball, cube):
+    cubes = tuple(c for c in ball.cubes if c != cube)
+    return Ball(ball.graph, ball.radius, ball.vertices, cubes, ball.reliable_radius)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs(max_generators=7), st.integers(-1, 3), st.data())
+def test_flag_check_matches_reference(graph, extra, data):
+    # Radii around the maximum clique size k put the reliable radius at
+    # -1 to 3.  A hand-built ball missing one stored cube covers squares
+    # missing an edge and cubes missing a face; one missing a cube of
+    # dimension 3 or more is how a violation arises.
+    radius = max(0, len(maximum_spherical(graph)) + extra)
+    ball = build_ball(graph, radius)
+    assert links_flag_check(ball) == reference_flag_check(ball)
+    for least in (1, 3):
+        cells = [cube for cube in ball.cubes if cube.dimension >= least]
+        if cells:
+            damaged = without(ball, cells[data.draw(st.integers(0, len(cells) - 1))])
+            assert links_flag_check(damaged) == reference_flag_check(damaged)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_flag_check_matches_reference_on_presets(name):
+    graph = PRESETS[name]
+    for radius in range(len(maximum_spherical(graph)) + 5):
+        ball = build_ball(graph, radius)
+        assert links_flag_check(ball) == reference_flag_check(ball)
+
+
+REMOVALS = [
+    (n, i)
+    for n in (4, 5)
+    for i, cube in enumerate(build_ball(complete_graph(n), 2 * n).cubes)
+    if cube.dimension in (3, 4)
+]
+
+
+@pytest.mark.parametrize("n, which", REMOVALS, ids=[f"K{n}-{i}" for n, i in REMOVALS])
+def test_flag_check_matches_reference_without_a_large_cube(n, which):
+    full = build_ball(complete_graph(n), 2 * n)
+    ball = without(full, full.cubes[which])
+    report = links_flag_check(ball)
+    assert not report.ok
+    assert report == reference_flag_check(ball)
