@@ -265,18 +265,20 @@ def _spheres(
     """Yield the spheres 0..radius of shortlex-automaton states, stopping at
     the first empty one.
 
-    A state is (w, blocked, descents, extra) for a normal form w.
-    ``blocked`` holds the generators x for which w*x is not a longer normal
-    form, and ``descents`` the x that shorten w.  Extending a sphere in
-    shortlex order by the unblocked letters in ascending order lists the
-    next sphere once and in shortlex order.  ``extra`` is the caller's: the
-    identity carries the given one, and w*x carries ``carry(extra of w, x)``.
+    A state is (blocked, descents, extra) for a normal form w.  ``blocked``
+    holds the generators x for which w*x is not a longer normal form, and
+    ``descents`` the x that shorten w.  Extending a sphere in shortlex order
+    by the unblocked letters in ascending order lists the next sphere once
+    and in shortlex order.  ``extra`` is the caller's: the identity carries
+    the given one, and w*x carries ``carry(extra of w, x)``.  The state
+    holds no word; a caller that needs w carries it, as ``build_ball``
+    does with ``lambda w, x: w + (x,)``.
     """
     if radius < 0:
         return
     masks = graph.neighbor_masks
     letters = [(x, 1 << x) for x in range(graph.n)]
-    level = [(IDENTITY, 0, 0, extra)]
+    level = [(0, 0, extra)]
     yield level
     for _ in range(radius):
         # After w*x, x is blocked, and so is each letter commuting with x
@@ -284,12 +286,11 @@ def _spheres(
         # the descents of w commuting with x.
         level = [
             (
-                w + (x,),
                 bit | masks[x] & (blocked | bit - 1),
                 bit | descents & masks[x],
                 carry(extra, x),
             )
-            for w, blocked, descents, extra in level
+            for blocked, descents, extra in level
             for x, bit in letters
             if not blocked & bit
         ]
@@ -311,12 +312,12 @@ def build_ball(
     """
     census = ball_census(graph, radius, max_vertices)
     cliques = _lex_cliques(graph, radius)
-    levels = list(_spheres(graph, radius, None, lambda extra, x: None))
-    vertices = tuple(w for level in levels for w, _, _, _ in level)
+    levels = list(_spheres(graph, radius, IDENTITY, lambda w, x: w + (x,)))
+    vertices = tuple(w for level in levels for _, _, w in level)
     cubes: list[Cube] = []
     for r, level in enumerate(levels):
         fitting = [(c, mask) for c, mask in cliques if len(c) <= radius - r]
-        for w, _, descents, _ in level:
+        for _, descents, w in level:
             cubes += [
                 tuple.__new__(Cube, (w, c)) for c, mask in fitting if not mask & descents
             ]

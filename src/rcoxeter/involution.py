@@ -12,19 +12,26 @@ flipped coordinates, and it is a single point exactly when every
 coordinate flips.
 
 Everything here reads the vertices of length at most the reliable radius,
-R - k for a ball of radius R and a maximum clique of size k, and nothing
-else.  ``sphere_states`` walks them sphere by sphere off the shortlex
-automaton of ``davis`` and carries each vertex's conjugate along: the
-conjugate by w*x is x times the conjugate by w times x, one ``multiply``
-of a word about as long as the conjugate.  ``walk_spheres`` makes that
-walk once and keeps only what the reports need: per sphere the min, max,
-sum and count of the conjugate lengths, and the invariant cubes, of which
-there is about one.  It holds a sphere and the next one while it builds
-that, and no ``Ball`` is needed.  ``invariant_cubes``, ``fixed_loci`` and
-``probe.displacement_profile`` take a ball, its census or a finished walk;
-given a ball or a census they walk it themselves, reading only its graph
-and radius, and given a walk they read it.  ``fixed_loci`` conjugates in
-full only the bases of the invariant cubes.
+R - k for a ball of radius R and a maximum clique C of size k, and nothing
+else.  ``walk_spheres`` walks them once, sphere by sphere, off the
+shortlex automaton of ``davis``, and keeps only what the reports need: per
+sphere the min, max, sum and count of the displacement |w^-1 * gamma * w|,
+and the invariant cubes, of which there is about one.  It never conjugates
+to measure a displacement.  By the left-descent lemma proven in ``probe``,
+|w^-1 * gamma * w| = 2|w| + k - 2m, where m counts the generators of C that
+are left descents of w, so each state carries two bitmasks: its left
+descents in C and its support.  An ascent w -> w*x adds x to the left
+descents exactly when every letter of w commutes with x, one test per
+state, so a state costs the same on every sphere; on the infinite
+dihedral group the walk is linear in the radius.  A cube can only be
+invariant at a base moved by at most k, that is where m = |w|, so w lies
+in the subgroup W_C; only those at most 2^k candidates carry their word,
+are conjugated in full and have their cubes tested.  The walk holds a sphere
+and the next one, and no ``Ball`` is needed.  ``invariant_cubes``,
+``fixed_loci`` and ``probe.displacement_profile`` take a ball, its census
+or a finished walk; given a ball or a census they walk it themselves,
+reading only its graph and radius, and given a walk they read it.
+``fixed_loci`` conjugates in full only the bases of the invariant cubes.
 
 The expected picture, verified here on finite balls: one invariant cube,
 based at the identity on the maximum clique itself, carrying an isolated
@@ -33,7 +40,7 @@ fixed point at its center.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .davis import Ball, BallCensus, Cube, _lex_cliques, _spheres, canonical_cube
 from .graphs import DefiningGraph
@@ -70,30 +77,17 @@ def build_involution(graph: DefiningGraph) -> Involution:
     )
 
 
-def sphere_states(
-    inv: Involution, ball: Ball | BallCensus
-) -> Iterator[list[tuple[Word, int, int, Word]]]:
-    """Yield the spheres 0, 1, ... up to the reliable radius, as lists of
-    ``(word, blocked, descents, conj)`` automaton states in shortlex order,
-    where conj is word^-1 * gamma * word.
-
-    Stops at the first empty sphere.  See ``davis._spheres`` for the other
-    three fields.
-    """
-    graph = ball.graph
-
-    def step(conj: Word, x: int) -> Word:
-        return multiply((x,), conj + (x,), graph)
-
-    return _spheres(graph, ball.radius - inv.n, inv.element, step)
+def _support_mask(word: Word) -> int:
+    return sum(1 << g for g in set(word))
 
 
 class SphereWalk(NamedTuple):
     """What one walk of the spheres up to the reliable radius keeps.
 
-    ``spheres[r]`` is the (min, max, sum, count) of the conjugate lengths
-    over the nonempty sphere r, and ``cubes`` the invariant cubes.  The
-    graph and the radius of the walked ball let the walk stand in for it.
+    ``spheres[r]`` is the (min, max, sum, count) of the displacements
+    |w^-1 * gamma * w| over the nonempty sphere r, and ``cubes`` the
+    invariant cubes.  The graph and the radius of the walked ball let the
+    walk stand in for it.
     """
 
     involution: Involution
@@ -111,36 +105,62 @@ def walk_spheres(
 
     A walk already made for ``inv`` is returned as it is.
 
+    A vertex w with m left descents in the clique is moved by
+    2|w| + k - 2m, so a sphere's statistics come from a histogram of m.
     The cube (g, T) is invariant iff g^-1 * gamma * g lies in the subgroup
     spanned by T, i.e. its support is contained in T.  An element of that
-    subgroup is a product of distinct commuting generators, so a conjugate
-    longer than the clique is skipped at once, and so is a sphere whose
-    shortest conjugate is.
+    subgroup is a product of distinct commuting generators, no longer than
+    the clique, so only a base with m = |g| can carry one, and a sphere
+    without such a vertex is skipped at once.
     """
     if isinstance(ball, SphereWalk):
         if ball.involution != inv:
             raise ValueError("the walk was made for another involution")
         return ball
-    cliques = _lex_cliques(ball.graph, ball.radius)
+    graph = ball.graph
+    masks = graph.neighbor_masks
+    k = inv.n
+    cmask = _support_mask(inv.clique)
+
+    # A state's extra is (left descents in C, support, word or None): the
+    # word is kept only while every letter is a left descent in C.
+    def step(state, x):
+        ld, supp, w = state
+        bit = 1 << x
+        if bit & cmask and not supp & ~masks[x]:
+            return ld | bit, supp | bit, None if w is None else w + (x,)
+        return ld, supp | bit, None
+
+    cliques = _lex_cliques(graph, ball.radius)
     spheres = []
     found: list[Cube] = []
-    for r, level in enumerate(sphere_states(inv, ball)):
-        lengths = [len(conj) for _, _, _, conj in level]
-        shortest = min(lengths)
-        spheres.append((shortest, max(lengths), sum(lengths), len(lengths)))
-        if shortest > inv.n:
+    for r, level in enumerate(_spheres(graph, ball.radius - k, (0, 0, IDENTITY), step)):
+        by_m = [0] * (k + 1)
+        for _, _, (ld, _, _) in level:
+            by_m[ld.bit_count()] += 1
+        present = [m for m, count in enumerate(by_m) if count]
+        far = 2 * r + k
+        spheres.append(
+            (
+                far - 2 * present[-1],
+                far - 2 * present[0],
+                far * len(level) - 2 * sum(m * count for m, count in enumerate(by_m)),
+                len(level),
+            )
+        )
+        if present[-1] < r:
             continue
         fitting = [(c, mask) for c, mask in cliques if len(c) <= ball.radius - r]
-        for w, _, descents, conj in level:
-            if len(conj) > inv.n:
+        for _, descents, (_, _, w) in level:
+            if w is None:
                 continue
-            flips = sum(1 << g for g in set(conj))
+            flips = _support_mask(conjugate(w, inv.element, graph))
             found.extend(
                 Cube(w, c)
                 for c, mask in fitting
                 if not mask & descents and not flips & ~mask
             )
-    return SphereWalk(inv, ball.graph, ball.radius, tuple(spheres), tuple(found))
+    return SphereWalk(inv, graph, ball.radius, tuple(spheres), tuple(found))
 
 
 def invariant_cubes(
@@ -233,13 +253,15 @@ def antipodal_check(inv: Involution, graph: DefiningGraph) -> bool:
 
     Identify each element of the finite subgroup spanned by the clique with
     its support indicator vector; multiplying by the involution must
-    complement every coordinate, the discrete antipodal map.
+    complement every coordinate, the discrete antipodal map.  The subsets
+    are built by doubling, each with its bitmask, and each is multiplied
+    once.
     """
-    clique = inv.clique
-    full = set(clique)
-    for bits in range(1 << len(clique)):
-        subset = tuple(g for k, g in enumerate(clique) if bits >> k & 1)
-        image = multiply(inv.element, subset, graph)
-        if support(image) != full - set(subset):
-            return False
-    return True
+    subsets = [(IDENTITY, 0)]
+    for g in inv.clique:
+        subsets += [(s + (g,), m | 1 << g) for s, m in subsets]
+    full = subsets[-1][1]
+    return all(
+        _support_mask(multiply(inv.element, subset, graph)) == full ^ bits
+        for subset, bits in subsets
+    )

@@ -8,16 +8,43 @@ statement that no direction toward infinity is asymptotically fixed: a
 fixed boundary direction would show up as bounded displacement along some
 escaping sequence, while we observe the per-sphere minimum growing.
 
-On the presets and on every non-complete random graph the tests draw,
-each sphere r within the reliable radius has minimum displacement
-max(k, 2r - k) and maximum 2r + k, where k is the size of the clique.
-This is verified, not proven.  Two parts are easy.  The length of
-v^-1 * gamma * v is at most 2r + k.  And gamma swaps the two sides of
-each of the k hyperplanes of the home cube, so each separates every
-vertex from its image; as the combinatorial distance counts separating
-hyperplanes (Sageev, Proc. LMS 1995), no vertex moves by less than k.
-That the minimum grows like 2r - k, and that both bounds are attained,
-is only checked.
+The displacement is exact in terms of left descents.  Let C be the
+maximum clique, gamma the product of its k generators, and LD(w) the
+left descents of w, the generators s with |s * w| < |w|.  Then
+
+    |w^-1 * gamma * w| = 2|w| + k - 2|LD(w) & C|.
+
+The combinatorial distance counts separating hyperplanes (Sageev, Proc.
+LMS 1995), which is the length of a reduced word.  The proof finds a
+reduced word for the conjugate with Tits' solution of the word problem
+(Le probleme des mots dans les groupes de Coxeter, 1969): in a
+right-angled Coxeter group a word is reduced iff no two equal letters s
+have only letters adjacent to s in between.
+
+1. The generators of LD(w) & C commute, so their product p is a left
+   factor of w: w = p * u with |u| = |w| - |p|.  W_C is abelian, so
+   w^-1 * gamma * w = u^-1 * gamma * u.  And u has no left descent s in C.
+   If s is a letter of p and u = s * u', then w = (p * s) * u', where
+   p * s is p without s, so w would be shorter than |p| + |u|.  If not,
+   s commutes with p, so s * w = p * (s * u) is shorter than w, and s
+   would be in LD(w) & C after all.
+2. The word u^-1 . gamma . u, u spelled backwards, then the letters of C,
+   then u, is reduced.  Take two equal letters s with only letters
+   adjacent to s in between.  Both in u, or both in u^-1, would make u
+   not reduced.  One in gamma and one in u (or in u^-1) would move s to
+   the front of u, making s a left descent of u in C.  One in u^-1 and
+   one in u would have all of gamma in between, so s would lie outside C
+   and be adjacent to all of C, and C would not be a maximum clique.
+   Hence |u^-1 * gamma * u| = 2|u| + k = 2|w| + k - 2|LD(w) & C|.
+
+``involution.walk_spheres`` reads the profile off this lemma.  It also
+bounds the profile: 0 <= |LD(w) & C| <= min(r, k) on sphere r, so every
+vertex there moves by at least max(k, 2r - k) and by at most 2r + k.  On
+the presets and on every non-complete random graph the tests draw, both
+bounds are attained on each sphere within the reliable radius; that is
+only checked, not proven.  The lemma also gives the single invariant
+cube: only a vertex with |LD(w) & C| = |w|, an element of W_C, moves by
+at most k, and each of those conjugates gamma to gamma.
 
 ``certify`` bundles every check in the package into one verdict: the
 involution squares to the identity, its fixed point in the examined ball

@@ -10,7 +10,12 @@ are rebuilt by a breadth-first search that finds vertices and cubes with
 ``multiply`` instead of the shortlex automaton of ``rcoxeter.davis``.  The
 conjugates, invariant cubes and displacement profile of the involution are
 recomputed by walking an enumerated ball, where the library streams the
-automaton's spheres without one.  Canonical cubes are recomputed by
+automaton's spheres without one.  The library's walk reads each
+displacement off left descents; ``sphere_states`` and ``multiply_walk``
+redo it the way it was done before, multiplying out every vertex's
+conjugate, ``left_descents`` finds left descents by multiplication, and
+``closed_form_spheres`` counts each sphere's displacements from the
+growth series without enumerating anything.  Canonical cubes are recomputed by
 greedy right multiplication, where the library deletes descents in one
 pass.  Exports are re-serialized the way the library did before it built
 each vertex text from its parent's: one ``json.dumps`` of the whole
@@ -29,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from math import comb
 
 from rcoxeter import (
     IDENTITY,
@@ -56,7 +62,9 @@ from rcoxeter import (
     support,
     word_to_text,
 )
-from rcoxeter.involution import sphere_states
+from rcoxeter.davis import _growth_columns, _lex_cliques, _spheres
+from rcoxeter.involution import SphereWalk
+from rcoxeter.spherical import _clique_counts
 
 
 def determinant(matrix: Matrix) -> int:
@@ -363,9 +371,103 @@ def assert_same_ball(ball: Ball, oracle: Ball) -> None:
         assert cubes_at_vertex(ball, v) == cubes_through(oracle, v)
 
 
+def sphere_states(inv: Involution, ball):
+    """Yield the spheres 0, 1, ... up to the reliable radius of a ball or
+    census, as lists of ``(word, blocked, descents, conj)`` automaton
+    states in shortlex order, where conj is word^-1 * gamma * word.
+
+    The automaton is ``davis._spheres``; each state carries its word and
+    its conjugate, and the conjugate by w*x is x times the conjugate by w
+    times x, one ``multiply`` of a word about as long as the conjugate.
+    This is how the library walked the spheres before it read the
+    displacement off left descents.
+    """
+    graph = ball.graph
+
+    def step(extra, x):
+        w, conj = extra
+        return w + (x,), multiply((x,), conj + (x,), graph)
+
+    start = (IDENTITY, inv.element)
+    for level in _spheres(graph, ball.radius - inv.n, start, step):
+        yield [(w, blocked, descents, conj) for blocked, descents, (w, conj) in level]
+
+
+def multiply_walk(inv: Involution, ball) -> SphereWalk:
+    """``involution.walk_spheres`` the way the library made it before it
+    read the displacement off left descents: every state's conjugate from
+    ``sphere_states``, its length for the statistics, and every conjugate
+    no longer than the clique tested for invariant cubes."""
+    cliques = _lex_cliques(ball.graph, ball.radius)
+    spheres = []
+    found: list[Cube] = []
+    for r, level in enumerate(sphere_states(inv, ball)):
+        lengths = [len(conj) for _, _, _, conj in level]
+        spheres.append((min(lengths), max(lengths), sum(lengths), len(lengths)))
+        fitting = [(c, mask) for c, mask in cliques if len(c) <= ball.radius - r]
+        for w, _, descents, conj in level:
+            if len(conj) > inv.n:
+                continue
+            flips = sum(1 << g for g in set(conj))
+            found.extend(
+                Cube(w, c)
+                for c, mask in fitting
+                if not mask & descents and not flips & ~mask
+            )
+    return SphereWalk(inv, ball.graph, ball.radius, tuple(spheres), tuple(found))
+
+
+def left_descents(w: Word, graph: DefiningGraph) -> set[int]:
+    """The generators s with |s * w| < |w|, one ``multiply`` each."""
+    return {s for s in range(graph.n) if len(multiply((s,), w, graph)) < len(w)}
+
+
+def closed_form_spheres(graph: DefiningGraph, radius: int) -> tuple:
+    """``walk_spheres(...).spheres`` with no enumeration, from the growth
+    series.
+
+    Column l of ``davis._growth_columns`` has in entry k - j the number of
+    elements of length l with no left descent in a given j-subset S of the
+    maximum clique C (the count is the same for right descents, by
+    inversion).  The elements of length r whose left descents contain S
+    are gamma_S * u for those u of length r - j, so by inclusion-exclusion
+
+        E_m(r) = sum over j >= m of (-1)^(j-m) C(j, m) C(k, j) col_{r-j}[k-j]
+
+    counts the elements of length r with exactly m left descents in C.
+    Each moves by 2r + k - 2m, which gives the min, max, sum and count of
+    each nonempty sphere up to the reliable radius ``radius - k``.
+    """
+    k = len(maximum_spherical(graph))
+    by_size = list(_clique_counts(graph.n, graph.neighbor_masks))
+    columns = list(itertools.islice(_growth_columns(by_size), max(radius - k + 1, 0)))
+    spheres = []
+    for r, column in enumerate(columns):
+        if not column[k]:
+            break
+        exactly = [
+            sum(
+                (-1) ** (j - m) * comb(j, m) * comb(k, j) * columns[r - j][k - j]
+                for j in range(m, min(k, r) + 1)
+            )
+            for m in range(k + 1)
+        ]
+        present = [m for m, count in enumerate(exactly) if count]
+        far = 2 * r + k
+        spheres.append(
+            (
+                far - 2 * present[-1],
+                far - 2 * present[0],
+                sum(count * (far - 2 * m) for m, count in enumerate(exactly)),
+                column[k],
+            )
+        )
+    return tuple(spheres)
+
+
 def conjugates(inv: Involution, ball) -> dict:
     """Map every vertex v of a ball or census within its reliable radius to
-    v^-1 * gamma * v, read off the library's streaming ``sphere_states``."""
+    v^-1 * gamma * v, read off the multiply walk ``sphere_states``."""
     return {w: conj for level in sphere_states(inv, ball) for w, _, _, conj in level}
 
 

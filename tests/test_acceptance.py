@@ -10,9 +10,11 @@ import time
 
 from rcoxeter import (
     IDENTITY,
+    ball_census,
     build_ball,
     build_involution,
     canonical_cube,
+    certify,
     cubes_at_vertex,
     displacement_profile,
     fixed_loci,
@@ -151,6 +153,24 @@ def test_criterion_7_displacement_profile():
         for vertex in ball.vertices:
             ok = ok and displacement(inv, vertex, graph) > 0
     _verdict(7, "displacement: dinfty profile, monotone minima, never zero", ok)
+
+
+def test_certify_is_linear_on_a_long_line():
+    # One walk of 40,000 states: the displacement comes from two bitmasks
+    # per state, so the infinite dihedral group is certified to radius
+    # 20,000 without conjugating words of 40,000 letters.
+    dinfty = preset("dinfty")
+    start = time.perf_counter()
+    certificate = certify(dinfty, 20000)
+    elapsed = time.perf_counter() - start
+    assert certificate.verdict
+    profile = displacement_profile(
+        build_involution(dinfty), ball_census(dinfty, 20000)
+    )
+    assert profile.radii == tuple(range(20000))
+    assert profile.mins == tuple(max(1, 2 * r - 1) for r in profile.radii)
+    assert profile.maxs == tuple(2 * r + 1 for r in profile.radii)
+    assert elapsed < 2.0
 
 
 def test_criterion_8_certify_determinism(capsys):

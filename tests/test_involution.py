@@ -159,6 +159,29 @@ class TestOneWalk:
         assert walks == [radius - inv.n]
 
     @pytest.mark.parametrize(
+        "graph, radius",
+        ((PENTAGON, 8), (DINFTY, 100), (complete_graph(6), 6)),
+        ids=("pentagon-r8", "dinfty-r100", "K6-r6"),
+    )
+    def test_conjugations_per_certify(self, monkeypatch, graph, radius):
+        # The walk conjugates only the vertices of the clique's subgroup,
+        # and ``fixed_loci`` only the base of each invariant cube, all
+        # through the module-level ``conjugate``.
+        import rcoxeter.involution as involution_module
+
+        calls = []
+        real = involution_module.conjugate
+
+        def counted(g, x, graph):
+            calls.append(g)
+            return real(g, x, graph)
+
+        monkeypatch.setattr(involution_module, "conjugate", counted)
+        inv = build_involution(graph)
+        assert certify(graph, radius).verdict
+        assert 0 < len(calls) <= 2**inv.n + 1
+
+    @pytest.mark.parametrize(
         "graph, radius, bound",
         ((PENTAGON, 11, 10 * 2**20), (DINFTY, 400, 2**20)),
         ids=("pentagon-r11", "dinfty-r400"),
@@ -307,3 +330,15 @@ class TestAntipodal:
         for _ in range(60):
             graph = random_graph(rng)
             assert antipodal_check(build_involution(graph), graph)
+
+    @pytest.mark.parametrize(
+        "wrong",
+        (lambda x, y, graph: x, lambda x, y, graph: x + y),
+        ids=("drops-the-subset", "never-cancels"),
+    )
+    def test_wrong_multiply_fails(self, monkeypatch, wrong):
+        import rcoxeter.involution as involution_module
+
+        monkeypatch.setattr(involution_module, "multiply", wrong)
+        for graph in ALL_PRESETS + (complete_graph(4),):
+            assert not antipodal_check(build_involution(graph), graph)

@@ -10,14 +10,17 @@ algorithm in ``oracles`` and the reflection matrices share no code with
 against the one-``json.dumps`` serializer in ``oracles``, the one
 sphere walk ``certify`` shares against the references that walk an
 enumerated ball, and the bitmask flag check against the subset-by-subset
-reference, on whole balls and on balls missing one cube.  Examples are
+reference, on whole balls and on balls missing one cube.  The left-descent
+lemma behind the walk is checked vertex by vertex, and the walk itself
+against the walk that multiplies out every conjugate and against the
+closed-form profile from the growth series.  Examples are
 derandomized so every run checks the same cases.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rcoxeter import (
@@ -29,6 +32,7 @@ from rcoxeter import (
     build_ball,
     build_involution,
     canonical_cube,
+    conjugate,
     displacement_profile,
     export_complex,
     fixed_loci,
@@ -44,9 +48,12 @@ from rcoxeter import (
 from oracles import (
     assert_same_ball,
     bfs_ball,
+    closed_form_spheres,
     complete_graph,
     filtered_invariant_cubes,
     greedy_canonical_cube,
+    left_descents,
+    multiply_walk,
     random_graph,
     reference_export,
     reference_flag_check,
@@ -173,6 +180,58 @@ def test_shared_walk_matches_census_and_ball_walk(graph, extra):
     cubes = filtered_invariant_cubes(inv, ball)
     assert tuple(locus.cube for locus in report.loci) == cubes
     assert profile == walked_profile(inv, ball)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graphs(max_generators=7))
+def test_displacement_from_left_descents(graph):
+    """The left-descent lemma, vertex by vertex: |w^-1 * gamma * w| is
+    2|w| + k - 2|LD(w) & C|, with LD(w) found by left multiplication.
+
+    Every vertex of the ball of radius k + 5 is checked.  A few of these
+    balls have up to a million vertices, at about 40 microseconds a
+    vertex, so balls of more than 20,000 vertices are drawn again.
+    """
+    inv = build_involution(graph)
+    radius = inv.n + 5
+    assume(ball_census(graph, radius, max_vertices=10**8).vertex_count <= 20_000)
+    clique = set(inv.clique)
+    for w in build_ball(graph, radius).vertices:
+        moved = len(conjugate(w, inv.element, graph))
+        assert moved == 2 * len(w) + inv.n - 2 * len(left_descents(w, graph) & clique)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs(max_generators=7))
+def test_walk_matches_multiply_walk_at_every_radius(graph):
+    """The bitmask walk returns the same ``SphereWalk`` as the walk that
+    multiplies every state's conjugate, at every radius up to k + 5."""
+    inv = build_involution(graph)
+    for radius in range(inv.n + 6):
+        census = ball_census(graph, radius, max_vertices=10**8)
+        assert walk_spheres(inv, census) == multiply_walk(inv, census)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graphs(max_generators=7), st.integers(0, 5))
+def test_walk_matches_closed_form_profile(graph, extra):
+    """Each sphere's (min, max, sum, count) from the growth series equals
+    the walk's, complete graphs included."""
+    radius = len(maximum_spherical(graph)) + extra
+    inv = build_involution(graph)
+    walk = walk_spheres(inv, ball_census(graph, radius, max_vertices=10**8))
+    assert walk.spheres == closed_form_spheres(graph, radius)
+
+
+def test_closed_form_profile_on_presets_and_complete_graphs():
+    cases = [
+        (preset(name), radius)
+        for name, radius in (("square", 6), ("dinfty", 2000), ("pentagon", 12), ("grid", 12))
+    ]
+    cases += [(complete_graph(n), radius) for n in (1, 4, 8) for radius in range(12)]
+    for graph, radius in cases:
+        walk = walk_spheres(build_involution(graph), ball_census(graph, radius))
+        assert walk.spheres == closed_form_spheres(graph, radius)
 
 
 def test_displacement_closed_form_at_large_radii():
