@@ -31,9 +31,8 @@ _SUBMODULE_OF = {
         "davis": "Ball BallCensus Cube FlagCheckReport FlagViolation"
         " ResourceCapError ball_census build_ball canonical_cube cubes_at_vertex"
         " export_complex links_flag_check sphere",
-        "involution": "FixedLocus FixedPointReport Involution SphereWalk"
-        " antipodal_check build_involution fixed_loci invariant_cubes"
-        " walk_spheres",
+        "involution": "FixedLocus FixedPointReport Involution antipodal_check"
+        " build_involution fixed_loci invariant_cubes",
         "probe": "Certificate DisplacementProfile certify displacement_profile",
     }.items()
     for name in names.split()

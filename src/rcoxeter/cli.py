@@ -38,22 +38,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def format_report(value, format: str = "json") -> str:
-    """Canonical serialization of a library report, newline-terminated."""
-    from .davis import Ball, BallCensus, export_complex
-    from .involution import FixedPointReport, Involution
-    from .probe import Certificate, DisplacementProfile
-
-    if isinstance(value, Ball):
-        return export_complex(value, format)
-    if isinstance(
-        value,
-        (BallCensus, FixedPointReport, Certificate, DisplacementProfile, Involution),
-    ):
+    """Canonical serialization of a library report, newline-terminated:
+    a report with ``as_dict`` as JSON, a ``Ball`` through ``export_complex``."""
+    if hasattr(value, "as_dict"):
         if format != "json":
             raise UnsupportedFormatError(
                 f"{type(value).__name__} can only be rendered as json, not {format!r}"
             )
         return _dump_json(value.as_dict())
+    from .davis import Ball, export_complex
+
+    if isinstance(value, Ball):
+        return export_complex(value, format)
     raise UnsupportedFormatError(f"cannot format {type(value).__name__} reports")
 
 

@@ -11,27 +11,20 @@ subcube on the flipped axes.  Its dimension is |T| minus the number of
 flipped coordinates, and it is a single point exactly when every
 coordinate flips.
 
-Everything here reads the vertices of length at most the reliable radius,
-R - k for a ball of radius R and a maximum clique C of size k, and nothing
-else.  ``walk_spheres`` walks them once, sphere by sphere, off the
-shortlex automaton of ``davis``, and keeps only what the reports need: per
-sphere the min, max, sum and count of the displacement |w^-1 * gamma * w|,
-and the invariant cubes, of which there is about one.  It never conjugates
-to measure a displacement.  By the left-descent lemma proven in ``probe``,
-|w^-1 * gamma * w| = 2|w| + k - 2m, where m counts the generators of C that
-are left descents of w, so each state carries two bitmasks: its left
-descents in C and its support.  An ascent w -> w*x adds x to the left
-descents exactly when every letter of w commutes with x, one test per
-state, so a state costs the same on every sphere; on the infinite
-dihedral group the walk is linear in the radius.  A cube can only be
-invariant at a base moved by at most k, that is where m = |w|, so w lies
-in the subgroup W_C; only those at most 2^k candidates carry their word,
-are conjugated in full and have their cubes tested.  The walk holds a sphere
-and the next one, and no ``Ball`` is needed.  ``invariant_cubes``,
-``fixed_loci`` and ``probe.displacement_profile`` take a ball, its census
-or a finished walk; given a ball or a census they walk it themselves,
-reading only its graph and radius, and given a walk they read it.
-``fixed_loci`` conjugates in full only the bases of the invariant cubes.
+Everything here reads the cubes based within the reliable radius, R - k
+for a ball of radius R and a maximum clique C of size k, and needs only
+the graph and the radius: a ball and its census serve alike, and no
+``Ball`` is built.  The search for invariant cubes is complete over the
+subgroup W_C alone.  An invariant cube (g, T) has g^-1 * gamma * g in W_T,
+a product of distinct commuting generators, so g moves by at most k.  By
+the left-descent lemma proven in ``probe``, g moves by 2|g| + k - 2m,
+where m counts the generators of C that are left descents of g; m is at
+most |g|, so m = |g|.  The product of those m descents is a left factor
+of g of length |g|, so g is that product, a subset of C.
+``invariant_cubes`` therefore conjugates the at most 2^k subsets of C and
+walks no sphere, and ``fixed_loci`` conjugates the bases of the invariant
+cubes once more.  W_C is abelian, so each subset conjugates gamma to
+gamma itself; the search tests that rather than assume it.
 
 The expected picture, verified here on finite balls: one invariant cube,
 based at the identity on the maximum clique itself, carrying an isolated
@@ -40,9 +33,10 @@ fixed point at its center.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
-from .davis import Ball, BallCensus, Cube, _lex_cliques, _spheres, canonical_cube
+from .davis import Ball, BallCensus, Cube, _lex_cliques, canonical_cube
 from .graphs import DefiningGraph
 from .spherical import Clique, maximum_spherical
 from .words import IDENTITY, Word, conjugate, multiply, support, word_to_text
@@ -81,94 +75,30 @@ def _support_mask(word: Word) -> int:
     return sum(1 << g for g in set(word))
 
 
-class SphereWalk(NamedTuple):
-    """What one walk of the spheres up to the reliable radius keeps.
+def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...]:
+    """All reliably-complete cubes mapped to themselves by the involution,
+    in the order of ``Ball.cubes``.
 
-    ``spheres[r]`` is the (min, max, sum, count) of the displacements
-    |w^-1 * gamma * w| over the nonempty sphere r, and ``cubes`` the
-    invariant cubes.  The graph and the radius of the walked ball let the
-    walk stand in for it.
+    The bases tried are the elements of W_C no longer than the reliable
+    radius, the subsets S of the clique in shortlex order; each is its own
+    normal form and its descents are S.  The cube (S, T) is invariant iff
+    T misses S, so that S is the base, and the support of S^-1 * gamma * S
+    is contained in T.
     """
-
-    involution: Involution
-    graph: DefiningGraph
-    radius: int
-    spheres: tuple[tuple[int, int, int, int], ...]
-    cubes: tuple[Cube, ...]
-
-
-def walk_spheres(
-    inv: Involution, ball: Ball | BallCensus | SphereWalk
-) -> SphereWalk:
-    """Walk the spheres up to the reliable radius once, keeping the
-    displacement statistics of each sphere and the invariant cubes.
-
-    A walk already made for ``inv`` is returned as it is.
-
-    A vertex w with m left descents in the clique is moved by
-    2|w| + k - 2m, so a sphere's statistics come from a histogram of m.
-    The cube (g, T) is invariant iff g^-1 * gamma * g lies in the subgroup
-    spanned by T, i.e. its support is contained in T.  An element of that
-    subgroup is a product of distinct commuting generators, no longer than
-    the clique, so only a base with m = |g| can carry one, and a sphere
-    without such a vertex is skipped at once.
-    """
-    if isinstance(ball, SphereWalk):
-        if ball.involution != inv:
-            raise ValueError("the walk was made for another involution")
-        return ball
     graph = ball.graph
-    masks = graph.neighbor_masks
-    k = inv.n
-    cmask = _support_mask(inv.clique)
-
-    # A state's extra is (left descents in C, support, word or None): the
-    # word is kept only while every letter is a left descent in C.
-    def step(state, x):
-        ld, supp, w = state
-        bit = 1 << x
-        if bit & cmask and not supp & ~masks[x]:
-            return ld | bit, supp | bit, None if w is None else w + (x,)
-        return ld, supp | bit, None
-
     cliques = _lex_cliques(graph, ball.radius)
-    spheres = []
     found: list[Cube] = []
-    for r, level in enumerate(_spheres(graph, ball.radius - k, (0, 0, IDENTITY), step)):
-        by_m = [0] * (k + 1)
-        for _, _, (ld, _, _) in level:
-            by_m[ld.bit_count()] += 1
-        present = [m for m, count in enumerate(by_m) if count]
-        far = 2 * r + k
-        spheres.append(
-            (
-                far - 2 * present[-1],
-                far - 2 * present[0],
-                far * len(level) - 2 * sum(m * count for m, count in enumerate(by_m)),
-                len(level),
-            )
-        )
-        if present[-1] < r:
-            continue
+    for r in range(min(inv.n, ball.radius - inv.n) + 1):
         fitting = [(c, mask) for c, mask in cliques if len(c) <= ball.radius - r]
-        for _, descents, (_, _, w) in level:
-            if w is None:
-                continue
-            flips = _support_mask(conjugate(w, inv.element, graph))
+        for base in combinations(inv.clique, r):
+            descents = _support_mask(base)
+            flips = _support_mask(conjugate(base, inv.element, graph))
             found.extend(
-                Cube(w, c)
+                Cube(base, c)
                 for c, mask in fitting
                 if not mask & descents and not flips & ~mask
             )
-    return SphereWalk(inv, graph, ball.radius, tuple(spheres), tuple(found))
-
-
-def invariant_cubes(
-    inv: Involution, ball: Ball | BallCensus | SphereWalk
-) -> tuple[Cube, ...]:
-    """All reliably-complete cubes mapped to themselves by the involution,
-    in the order of ``Ball.cubes``; see ``walk_spheres``."""
-    return walk_spheres(inv, ball).cubes
+    return tuple(found)
 
 
 class FixedLocus(NamedTuple):
@@ -209,9 +139,7 @@ class FixedPointReport(NamedTuple):
         }
 
 
-def fixed_loci(
-    inv: Involution, ball: Ball | BallCensus | SphereWalk
-) -> FixedPointReport:
+def fixed_loci(inv: Involution, ball: Ball | BallCensus) -> FixedPointReport:
     """Locate every fixed locus and judge whether it is the expected point.
 
     ``unique_point`` holds exactly when there is a single locus, it is

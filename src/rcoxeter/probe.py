@@ -37,23 +37,27 @@ have only letters adjacent to s in between.
    and be adjacent to all of C, and C would not be a maximum clique.
    Hence |u^-1 * gamma * u| = 2|u| + k = 2|w| + k - 2|LD(w) & C|.
 
-``involution.walk_spheres`` reads the profile off this lemma.  It also
-bounds the profile: 0 <= |LD(w) & C| <= min(r, k) on sphere r, so every
-vertex there moves by at least max(k, 2r - k) and by at most 2r + k.  On
-the presets and on every non-complete random graph the tests draw, both
-bounds are attained on each sphere within the reliable radius; that is
-only checked, not proven.  The lemma also gives the single invariant
-cube: only a vertex with |LD(w) & C| = |w|, an element of W_C, moves by
-at most k, and each of those conjugates gamma to gamma.
+``displacement_profile`` reads the profile off this lemma.  Each state
+of the shortlex automaton carries two bitmasks, its left descents in C
+and its support.  An ascent w -> w*x adds x to the left descents exactly
+when x is in C and every letter of w commutes with x, one test per state,
+so a state costs the same on every sphere and the walk is linear in the
+radius on the infinite dihedral group.  The lemma also bounds the
+profile: 0 <= |LD(w) & C| <= min(r, k) on sphere r, so every vertex there
+moves by at least max(k, 2r - k) and by at most 2r + k.  On the presets
+and on every non-complete random graph the tests draw, both bounds are
+attained on each sphere within the reliable radius; that is only
+checked, not proven.  The lemma also limits the invariant cubes to bases
+in W_C; see ``involution``.
 
 ``certify`` bundles every check in the package into one verdict: the
 involution squares to the identity, its fixed point in the examined ball
 is unique, the local action is antipodal, and min displacement never drops
 as the radius grows.  Complete defining graphs present finite groups whose
 boundary is empty, so they pass with an explanatory note.  It builds no
-ball: the census enforces the vertex cap, and one walk of the spheres up
-to the reliable radius, one sphere at a time, feeds both the fixed loci
-and the profile.
+ball: the census enforces the vertex cap, the fixed loci come from the
+subsets of the clique, and the profile from one walk of the spheres up to
+the reliable radius, one sphere at a time.
 """
 
 from __future__ import annotations
@@ -62,16 +66,9 @@ from typing import NamedTuple
 
 # build_ball and conjugate are not called here; they stay names of this
 # module because bench/tracing.py wraps them.
-from .davis import Ball, BallCensus, ball_census, build_ball  # noqa: F401
+from .davis import Ball, BallCensus, _spheres, ball_census, build_ball  # noqa: F401
 from .graphs import DefiningGraph
-from .involution import (
-    Involution,
-    SphereWalk,
-    antipodal_check,
-    build_involution,
-    fixed_loci,
-    walk_spheres,
-)
+from .involution import Involution, antipodal_check, build_involution, fixed_loci
 from .spherical import maximum_spherical
 from .words import conjugate, has_order_two, word_to_text  # noqa: F401
 
@@ -99,16 +96,36 @@ class DisplacementProfile(NamedTuple):
 
 
 def displacement_profile(
-    inv: Involution, ball: Ball | BallCensus | SphereWalk
+    inv: Involution, ball: Ball | BallCensus
 ) -> DisplacementProfile:
     """Tabulate displacement over each nonempty sphere up to the reliable
-    radius; see ``involution.walk_spheres``."""
-    spheres = walk_spheres(inv, ball).spheres
+    radius, from a histogram of the left descents in the clique on each
+    sphere; a vertex of sphere r with m of them moves by 2r + k - 2m."""
+    graph = ball.graph
+    masks = graph.neighbor_masks
+    k = inv.n
+    cmask = sum(1 << g for g in inv.clique)
+
+    def step(state, x):
+        ld, supp = state
+        bit = 1 << x
+        if bit & cmask and not supp & ~masks[x]:
+            ld |= bit
+        return ld, supp | bit
+
+    mins, maxs, means = [], [], []
+    for r, level in enumerate(_spheres(graph, ball.radius - k, (0, 0), step)):
+        by_m = [0] * (k + 1)
+        for _, _, (ld, _) in level:
+            by_m[ld.bit_count()] += 1
+        present = [m for m, count in enumerate(by_m) if count]
+        far = 2 * r + k
+        mins.append(far - 2 * present[-1])
+        maxs.append(far - 2 * present[0])
+        moved = far * len(level) - 2 * sum(m * count for m, count in enumerate(by_m))
+        means.append(moved / len(level))
     return DisplacementProfile(
-        tuple(range(len(spheres))),
-        tuple(low for low, _, _, _ in spheres),
-        tuple(high for _, high, _, _ in spheres),
-        tuple(total / count for _, _, total, count in spheres),
+        tuple(range(len(mins))), tuple(mins), tuple(maxs), tuple(means)
     )
 
 
@@ -172,9 +189,8 @@ def certify(
         )
     inv = build_involution(graph)
     census = ball_census(graph, radius, max_vertices=max_vertices)
-    walk = walk_spheres(inv, census)
-    report = fixed_loci(inv, walk)
-    profile = displacement_profile(inv, walk)
+    report = fixed_loci(inv, census)
+    profile = displacement_profile(inv, census)
     order_two = has_order_two(inv.element, graph)
     antipodal = antipodal_check(inv, graph)
     monotone = profile.monotone

@@ -10,10 +10,11 @@ are rebuilt by a breadth-first search that finds vertices and cubes with
 ``multiply`` instead of the shortlex automaton of ``rcoxeter.davis``.  The
 conjugates, invariant cubes and displacement profile of the involution are
 recomputed by walking an enumerated ball, where the library streams the
-automaton's spheres without one.  The library's walk reads each
-displacement off left descents; ``sphere_states`` and ``multiply_walk``
-redo it the way it was done before, multiplying out every vertex's
-conjugate, ``left_descents`` finds left descents by multiplication, and
+automaton's spheres without one.  The library reads each displacement
+off left descents and looks for invariant cubes in the clique's subgroup
+alone; ``sphere_states`` and ``multiply_walk`` redo both the way it was
+done before, in one walk that multiplies out every vertex's conjugate,
+``left_descents`` finds left descents by multiplication, and
 ``closed_form_spheres`` counts each sphere's displacements from the
 growth series without enumerating anything.  Canonical cubes are recomputed by
 greedy right multiplication, where the library deletes descents in one
@@ -35,6 +36,7 @@ import itertools
 import json
 import random
 from math import comb
+from typing import NamedTuple
 
 from rcoxeter import (
     IDENTITY,
@@ -63,7 +65,6 @@ from rcoxeter import (
     word_to_text,
 )
 from rcoxeter.davis import _growth_columns, _lex_cliques, _spheres
-from rcoxeter.involution import SphereWalk
 from rcoxeter.spherical import _clique_counts
 
 
@@ -393,11 +394,21 @@ def sphere_states(inv: Involution, ball):
         yield [(w, blocked, descents, conj) for blocked, descents, (w, conj) in level]
 
 
-def multiply_walk(inv: Involution, ball) -> SphereWalk:
-    """``involution.walk_spheres`` the way the library made it before it
-    read the displacement off left descents: every state's conjugate from
-    ``sphere_states``, its length for the statistics, and every conjugate
-    no longer than the clique tested for invariant cubes."""
+class MultiplyWalk(NamedTuple):
+    """What ``multiply_walk`` keeps: the (min, max, sum, count) of the
+    displacements over each nonempty sphere up to the reliable radius, and
+    the invariant cubes in ``Ball.cubes`` order."""
+
+    spheres: tuple[tuple[int, int, int, int], ...]
+    cubes: tuple[Cube, ...]
+
+
+def multiply_walk(inv: Involution, ball) -> MultiplyWalk:
+    """The one walk the library shared between the profile and the fixed
+    loci before it read the displacement off left descents: every state's
+    conjugate from ``sphere_states``, its length for the statistics, and
+    every conjugate no longer than the clique tested for invariant cubes,
+    on every sphere."""
     cliques = _lex_cliques(ball.graph, ball.radius)
     spheres = []
     found: list[Cube] = []
@@ -414,7 +425,18 @@ def multiply_walk(inv: Involution, ball) -> SphereWalk:
                 for c, mask in fitting
                 if not mask & descents and not flips & ~mask
             )
-    return SphereWalk(inv, ball.graph, ball.radius, tuple(spheres), tuple(found))
+    return MultiplyWalk(tuple(spheres), tuple(found))
+
+
+def profile_of(spheres) -> DisplacementProfile:
+    """The profile of each sphere's (min, max, sum, count), the mean being
+    sum / count."""
+    return DisplacementProfile(
+        tuple(range(len(spheres))),
+        tuple(low for low, _, _, _ in spheres),
+        tuple(high for _, high, _, _ in spheres),
+        tuple(total / count for _, _, total, count in spheres),
+    )
 
 
 def left_descents(w: Word, graph: DefiningGraph) -> set[int]:
@@ -423,7 +445,7 @@ def left_descents(w: Word, graph: DefiningGraph) -> set[int]:
 
 
 def closed_form_spheres(graph: DefiningGraph, radius: int) -> tuple:
-    """``walk_spheres(...).spheres`` with no enumeration, from the growth
+    """``multiply_walk(...).spheres`` with no enumeration, from the growth
     series.
 
     Column l of ``davis._growth_columns`` has in entry k - j the number of

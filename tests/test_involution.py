@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -20,7 +21,6 @@ from rcoxeter import (
     multiply,
     preset,
     support,
-    walk_spheres,
 )
 from oracles import (
     complete_graph,
@@ -133,8 +133,8 @@ class TestConjugates:
 
 
 class TestOneWalk:
-    """``certify`` walks the spheres once and shares the walk between the
-    fixed loci and the profile, holding a sphere and the next at a time."""
+    """``certify`` walks the spheres once, for the profile, holding a sphere
+    and the next at a time; the fixed loci need no walk."""
 
     @pytest.mark.parametrize(
         "graph, radius",
@@ -143,20 +143,22 @@ class TestOneWalk:
     )
     def test_one_walk_per_certify(self, monkeypatch, graph, radius):
         import rcoxeter.involution as involution_module
+        import rcoxeter.probe as probe_module
 
-        # Every walk, through whichever name, starts the automaton of
-        # ``davis._spheres`` as ``involution`` imported it.
+        # The walk starts the automaton of ``davis._spheres`` as ``probe``
+        # imported it; ``involution`` has no name for it.
         walks = []
-        real = involution_module._spheres
+        real = probe_module._spheres
 
         def counted(graph, radius, *args):
             walks.append(radius)
             return real(graph, radius, *args)
 
-        monkeypatch.setattr(involution_module, "_spheres", counted)
+        monkeypatch.setattr(probe_module, "_spheres", counted)
         inv = build_involution(graph)
         assert certify(graph, radius).verdict
         assert walks == [radius - inv.n]
+        assert not hasattr(involution_module, "_spheres")
 
     @pytest.mark.parametrize(
         "graph, radius",
@@ -164,22 +166,37 @@ class TestOneWalk:
         ids=("pentagon-r8", "dinfty-r100", "K6-r6"),
     )
     def test_conjugations_per_certify(self, monkeypatch, graph, radius):
-        # The walk conjugates only the vertices of the clique's subgroup,
-        # and ``fixed_loci`` only the base of each invariant cube, all
-        # through the module-level ``conjugate``.
+        # ``invariant_cubes`` conjugates each element of W_C no longer than
+        # the reliable radius, and ``fixed_loci`` the base of each invariant
+        # cube, all through the module-level ``conjugate``; the profile
+        # conjugates and multiplies nothing.
+        import rcoxeter.davis as davis_module
         import rcoxeter.involution as involution_module
+        import rcoxeter.probe as probe_module
 
         calls = []
-        real = involution_module.conjugate
 
-        def counted(g, x, graph):
-            calls.append(g)
-            return real(g, x, graph)
+        def count(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(involution_module, "conjugate", counted)
+            def counted(*args):
+                calls.append((module.__name__, name))
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(involution_module, "conjugate")
+        count(probe_module, "conjugate")
+        count(davis_module, "multiply")
         inv = build_involution(graph)
+        census = ball_census(graph, radius)
+        displacement_profile(inv, census)
+        assert calls == []
+        cubes = len(invariant_cubes(inv, census))
+        calls.clear()
         assert certify(graph, radius).verdict
-        assert 0 < len(calls) <= 2**inv.n + 1
+        bases = sum(comb(inv.n, r) for r in range(min(inv.n, radius - inv.n) + 1))
+        assert calls == [("rcoxeter.involution", "conjugate")] * (bases + cubes)
 
     @pytest.mark.parametrize(
         "graph, radius, bound",
@@ -200,16 +217,10 @@ class TestOneWalk:
             tracemalloc.stop()
         assert peak < bound
 
-    def test_walk_is_tied_to_its_involution(self):
-        walk = walk_spheres(build_involution(PENTAGON), ball_census(PENTAGON, 5))
-        assert walk_spheres(build_involution(PENTAGON), walk) is walk
-        with pytest.raises(ValueError, match="another involution"):
-            fixed_loci(build_involution(GRID), walk)
-
 
 class TestStreamingAgainstBallWalk:
-    """The sphere-by-sphere walk against references that walk an
-    enumerated ball, given the ball itself, its census and a finished walk."""
+    """The search of W_C and the sphere-by-sphere walk against references
+    that walk an enumerated ball, given the ball itself and its census."""
 
     @staticmethod
     def assert_same(graph, radius):
@@ -221,14 +232,14 @@ class TestStreamingAgainstBallWalk:
         assert conjugates(inv, ball) == walked_conjugates(inv, ball)
         assert conjugates(inv, census) == walked_conjugates(inv, ball)
         reports = []
-        for source in (ball, census, walk_spheres(inv, census)):
+        for source in (ball, census):
             assert invariant_cubes(inv, source) == cubes
             report = fixed_loci(inv, source)
             assert tuple(locus.cube for locus in report.loci) == cubes
             assert report.radius_examined == ball.reliable_radius
             assert displacement_profile(inv, source) == profile
             reports.append(report)
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("graph", ALL_PRESETS, ids=lambda g: " ".join(g.labels))
     def test_presets(self, graph):

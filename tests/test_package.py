@@ -31,7 +31,6 @@ from rcoxeter import (
     parse_graph,
     preset,
     spherical_poset,
-    walk_spheres,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -182,7 +181,6 @@ def _records():
         FlagViolation((0,), (0, 1)),
         links_flag_check(ball),
         inv,
-        walk_spheres(inv, census),
         report.loci[0],
         report,
         displacement_profile(inv, census),

@@ -7,14 +7,15 @@ algorithm in ``oracles`` and the reflection matrices share no code with
 ``rcoxeter.words``; the breadth-first ball in ``oracles`` shares none with
 ``rcoxeter.davis.build_ball``, and the greedy canonical cube none with
 ``rcoxeter.davis.canonical_cube``.  The export is checked byte for byte
-against the one-``json.dumps`` serializer in ``oracles``, the one
-sphere walk ``certify`` shares against the references that walk an
-enumerated ball, and the bitmask flag check against the subset-by-subset
-reference, on whole balls and on balls missing one cube.  The left-descent
-lemma behind the walk is checked vertex by vertex, and the walk itself
-against the walk that multiplies out every conjugate and against the
-closed-form profile from the growth series.  Examples are
-derandomized so every run checks the same cases.
+against the one-``json.dumps`` serializer in ``oracles``, the fixed loci
+and the profile, read off a census and off a ball, against the references
+that walk an enumerated ball, and the bitmask flag check against the
+subset-by-subset reference, on whole balls and on balls missing one cube.
+The left-descent lemma is checked vertex by vertex; the invariant cubes
+found in the clique's subgroup and the profile's bitmask walk against the
+walk that multiplies out every conjugate, and the profile against the
+closed form from the growth series.  Examples are derandomized so every
+run checks the same cases.
 """
 
 import random
@@ -36,6 +37,7 @@ from rcoxeter import (
     displacement_profile,
     export_complex,
     fixed_loci,
+    invariant_cubes,
     links_flag_check,
     matrix_product,
     maximum_spherical,
@@ -43,7 +45,6 @@ from rcoxeter import (
     normal_form,
     preset,
     tits_matrix,
-    walk_spheres,
 )
 from oracles import (
     assert_same_ball,
@@ -54,6 +55,7 @@ from oracles import (
     greedy_canonical_cube,
     left_descents,
     multiply_walk,
+    profile_of,
     random_graph,
     reference_export,
     reference_flag_check,
@@ -164,19 +166,17 @@ def test_displacement_closed_form(graph, extra):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(graphs(max_generators=7).filter(lambda g: not g.is_complete), st.integers(1, 5))
-def test_shared_walk_matches_census_and_ball_walk(graph, extra):
-    """The one walk ``certify`` shares feeds the fixed loci and the profile
-    the same results as a walk of the census each, and as the references
-    that walk an enumerated ball."""
+def test_census_and_ball_match_ball_walk(graph, extra):
+    """The fixed loci and the profile read the same off the census as off
+    the enumerated ball, and the same as the references that walk it."""
     inv = build_involution(graph)
     radius = inv.n + extra
     census = ball_census(graph, radius)
-    walk = walk_spheres(inv, census)
-    report = fixed_loci(inv, walk)
-    profile = displacement_profile(inv, walk)
-    assert report == fixed_loci(inv, census)
-    assert profile == displacement_profile(inv, census)
+    report = fixed_loci(inv, census)
+    profile = displacement_profile(inv, census)
     ball = build_ball(graph, radius)
+    assert report == fixed_loci(inv, ball)
+    assert profile == displacement_profile(inv, ball)
     cubes = filtered_invariant_cubes(inv, ball)
     assert tuple(locus.cube for locus in report.loci) == cubes
     assert profile == walked_profile(inv, ball)
@@ -204,23 +204,26 @@ def test_displacement_from_left_descents(graph):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(graphs(max_generators=7))
 def test_walk_matches_multiply_walk_at_every_radius(graph):
-    """The bitmask walk returns the same ``SphereWalk`` as the walk that
-    multiplies every state's conjugate, at every radius up to k + 5."""
+    """The search of W_C finds the invariant cubes, and the bitmask walk the
+    profile, of the walk that multiplies every state's conjugate and tests
+    every sphere, at every radius up to k + 5."""
     inv = build_involution(graph)
     for radius in range(inv.n + 6):
         census = ball_census(graph, radius, max_vertices=10**8)
-        assert walk_spheres(inv, census) == multiply_walk(inv, census)
+        walk = multiply_walk(inv, census)
+        assert invariant_cubes(inv, census) == walk.cubes
+        assert displacement_profile(inv, census) == profile_of(walk.spheres)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(graphs(max_generators=7), st.integers(0, 5))
 def test_walk_matches_closed_form_profile(graph, extra):
-    """Each sphere's (min, max, sum, count) from the growth series equals
-    the walk's, complete graphs included."""
+    """Each sphere's (min, max, sum, count) from the growth series gives the
+    walk's profile, complete graphs included."""
     radius = len(maximum_spherical(graph)) + extra
-    inv = build_involution(graph)
-    walk = walk_spheres(inv, ball_census(graph, radius, max_vertices=10**8))
-    assert walk.spheres == closed_form_spheres(graph, radius)
+    census = ball_census(graph, radius, max_vertices=10**8)
+    profile = displacement_profile(build_involution(graph), census)
+    assert profile == profile_of(closed_form_spheres(graph, radius))
 
 
 def test_closed_form_profile_on_presets_and_complete_graphs():
@@ -230,8 +233,8 @@ def test_closed_form_profile_on_presets_and_complete_graphs():
     ]
     cases += [(complete_graph(n), radius) for n in (1, 4, 8) for radius in range(12)]
     for graph, radius in cases:
-        walk = walk_spheres(build_involution(graph), ball_census(graph, radius))
-        assert walk.spheres == closed_form_spheres(graph, radius)
+        profile = displacement_profile(build_involution(graph), ball_census(graph, radius))
+        assert profile == profile_of(closed_form_spheres(graph, radius))
 
 
 def test_displacement_closed_form_at_large_radii():
