@@ -36,9 +36,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .davis import Ball, BallCensus, Cube, _lex_cliques, canonical_cube
+from .davis import Ball, BallCensus, Cube, canonical_cube
 from .graphs import DefiningGraph
-from .spherical import Clique, maximum_spherical
+from .spherical import Clique, _bits, maximum_spherical
 from .words import IDENTITY, Word, conjugate, multiply, support, word_to_text
 
 
@@ -83,21 +83,37 @@ def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...
     radius, the subsets S of the clique in shortlex order; each is its own
     normal form and its descents are S.  The cube (S, T) is invariant iff
     T misses S, so that S is the base, and the support of S^-1 * gamma * S
-    is contained in T.
+    is contained in T.  So the axes tried are that support, when it is a
+    clique missing S, joined with each clique of the generators adjacent
+    to all of it and outside S, sorted lexicographically.
     """
     graph = ball.graph
-    cliques = _lex_cliques(graph, ball.radius)
+    masks = graph.neighbor_masks
     found: list[Cube] = []
     for r in range(min(inv.n, ball.radius - inv.n) + 1):
-        fitting = [(c, mask) for c, mask in cliques if len(c) <= ball.radius - r]
+        room = ball.radius - r
         for base in combinations(inv.clique, r):
             descents = _support_mask(base)
             flips = _support_mask(conjugate(base, inv.element, graph))
-            found.extend(
-                Cube(base, c)
-                for c, mask in fitting
-                if not mask & descents and not flips & ~mask
-            )
+            # Generators commuting with, or in, every flipped one.
+            near = (1 << graph.n) - 1
+            for g in _bits(flips):
+                near &= masks[g] | 1 << g
+            if flips & ~near or flips & descents:
+                continue
+            # Each axis grows from the flips by its largest added generator.
+            level = [(flips, near & ~flips & ~descents)]
+            axes: list[Clique] = []
+            for _ in range(flips.bit_count(), room + 1):
+                if not level:
+                    break
+                axes += [tuple(_bits(axis)) for axis, _ in level]
+                level = [
+                    (axis | 1 << v, above & masks[v] >> v + 1 << v + 1)
+                    for axis, above in level
+                    for v in _bits(above)
+                ]
+            found.extend(Cube(base, axis) for axis in sorted(axes))
     return tuple(found)
 
 

@@ -21,55 +21,62 @@ reduced word for the conjugate with Tits' solution of the word problem
 right-angled Coxeter group a word is reduced iff no two equal letters s
 have only letters adjacent to s in between.
 
-1. The generators of LD(w) & C commute, so their product p is a left
-   factor of w: w = p * u with |u| = |w| - |p|.  W_C is abelian, so
-   w^-1 * gamma * w = u^-1 * gamma * u.  And u has no left descent s in C.
-   If s is a letter of p and u = s * u', then w = (p * s) * u', where
-   p * s is p without s, so w would be shorter than |p| + |u|.  If not,
-   s commutes with p, so s * w = p * (s * u) is shorter than w, and s
-   would be in LD(w) & C after all.
-2. The word u^-1 . gamma . u, u spelled backwards, then the letters of C,
-   then u, is reduced.  Take two equal letters s with only letters
-   adjacent to s in between.  Both in u, or both in u^-1, would make u
-   not reduced.  One in gamma and one in u (or in u^-1) would move s to
-   the front of u, making s a left descent of u in C.  One in u^-1 and
-   one in u would have all of gamma in between, so s would lie outside C
-   and be adjacent to all of C, and C would not be a maximum clique.
-   Hence |u^-1 * gamma * u| = 2|u| + k = 2|w| + k - 2|LD(w) & C|.
+1. Every w factors uniquely as w = c * u with c in W_C, u without a
+   left descent in C and |w| = |c| + |u|, and then LD(w) & C = supp(c).
+   The generators of LD(w) & C commute, so their product c is a left
+   factor of w: w = c * u with |u| = |w| - |c|.  If u = s * u' with s in
+   C, either s is a letter of c and w = (c * s) * u' is shorter than
+   |c| + |u|, or s commutes with c and s * w = c * (s * u) is shorter
+   than w, so s is in LD(w) & C after all.  Conversely, for any such c
+   and u the word c . u is reduced: the letters of c are distinct, u is
+   reduced, and an s of c and an s of u with only letters adjacent to s
+   in between would make s a left descent of u.  So each letter of c is
+   a left descent of c * u, and no other s in C is one, as s * c * u is
+   again such a product, of length |c| + 1 + |u|; c is determined by w.
+2. W_C is abelian, so w^-1 * gamma * w = u^-1 * gamma * u.  The word
+   u^-1 . gamma . u, u spelled backwards, then the letters of C, then u,
+   is reduced.  Take two equal letters s with only letters adjacent to s
+   in between.  Both in u, or both in u^-1, would make u not reduced.
+   One in gamma and one in u (or in u^-1) would move s to the front of
+   u, making s a left descent of u in C.  One in u^-1 and one in u would
+   have all of gamma in between, so s would lie outside C and be
+   adjacent to all of C, and C would not be a maximum clique.  Hence
+   |u^-1 * gamma * u| = 2|u| + k = 2|w| + k - 2|LD(w) & C|.
 
-``displacement_profile`` reads the profile off this lemma.  Each state
-of the shortlex automaton carries two bitmasks, its left descents in C
-and its support.  An ascent w -> w*x adds x to the left descents exactly
-when x is in C and every letter of w commutes with x, one test per state,
-so a state costs the same on every sphere and the walk is linear in the
-radius on the infinite dihedral group.  The lemma also bounds the
-profile: 0 <= |LD(w) & C| <= min(r, k) on sphere r, so every vertex there
-moves by at least max(k, 2r - k) and by at most 2r + k.  On the presets
-and on every non-complete random graph the tests draw, both bounds are
-attained on each sphere within the reliable radius; that is only
-checked, not proven.  The lemma also limits the invariant cubes to bases
-in W_C; see ``involution``.
+``displacement_profile`` reads the profile off the growth series.  By
+step 1, W(t) = (1+t)^k * Q(t), where Q(t) counts the u by length, so
+Q(t) = 1/P(t) in the notation of ``davis``: q_l = [t^l] Q(t) is entry 0
+of column l of ``davis._growth_columns``.  Sphere r, counted by entry k
+of column r, holds C(k, m) * q_(r-m) vertices that move by 2r + k - 2m.
+As m <= min(r, k), they move by at least max(k, 2r - k) and at most
+2r + k, and on an infinite group, one of a non-complete graph, both
+bounds are attained on every sphere: W_C has infinitely many cosets and
+a prefix of a u has no left descent in C, so q_l > 0 for every l.  The
+lemma also limits the invariant cubes to bases in W_C; see ``involution``.
 
 ``certify`` bundles every check in the package into one verdict: the
 involution squares to the identity, its fixed point in the examined ball
 is unique, the local action is antipodal, and min displacement never drops
 as the radius grows.  Complete defining graphs present finite groups whose
 boundary is empty, so they pass with an explanatory note.  It builds no
-ball: the census enforces the vertex cap, the fixed loci come from the
-subsets of the clique, and the profile from one walk of the spheres up to
-the reliable radius, one sphere at a time.
+ball and walks no sphere: the census enforces the vertex cap, the fixed
+loci come from the subsets of the clique, and the profile from the growth
+series up to the reliable radius.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+from math import comb
+from operator import mul
 from typing import NamedTuple
 
-# build_ball and conjugate are not called here; they stay names of this
-# module because bench/tracing.py wraps them.
-from .davis import Ball, BallCensus, _spheres, ball_census, build_ball  # noqa: F401
+# build_ball, maximum_spherical and conjugate are not called here; they
+# stay names of this module because bench/tracing.py wraps them.
+from .davis import Ball, BallCensus, _growth_columns, ball_census, build_ball  # noqa: F401
 from .graphs import DefiningGraph
 from .involution import Involution, antipodal_check, build_involution, fixed_loci
-from .spherical import maximum_spherical
+from .spherical import _clique_counts, maximum_spherical  # noqa: F401
 from .words import conjugate, has_order_two, word_to_text  # noqa: F401
 
 
@@ -99,31 +106,27 @@ def displacement_profile(
     inv: Involution, ball: Ball | BallCensus
 ) -> DisplacementProfile:
     """Tabulate displacement over each nonempty sphere up to the reliable
-    radius, from a histogram of the left descents in the clique on each
-    sphere; a vertex of sphere r with m of them moves by 2r + k - 2m."""
-    graph = ball.graph
-    masks = graph.neighbor_masks
+    radius, read off the growth series."""
     k = inv.n
-    cmask = sum(1 << g for g in inv.clique)
-
-    def step(state, x):
-        ld, supp = state
-        bit = 1 << x
-        if bit & cmask and not supp & ~masks[x]:
-            ld |= bit
-        return ld, supp | bit
-
+    reliable = ball.radius - k
+    # The series up to t^reliable needs only the cliques of that size or less.
+    counts = _clique_counts(ball.graph.n, ball.graph.neighbor_masks)
+    by_size = list(islice(counts, max(0, min(reliable, k) + 1)))
+    by_size += [0] * (k + 1 - len(by_size))
+    # recent[m] is q_(r-m); each such u gives C(k, m) vertices c * u.
+    descents = [m * comb(k, m) for m in range(k + 1)]
+    recent = [0] * (k + 1)
     mins, maxs, means = [], [], []
-    for r, level in enumerate(_spheres(graph, ball.radius - k, (0, 0), step)):
-        by_m = [0] * (k + 1)
-        for _, _, (ld, _) in level:
-            by_m[ld.bit_count()] += 1
-        present = [m for m, count in enumerate(by_m) if count]
+    for r, column in enumerate(_growth_columns(by_size)):
+        if r > reliable or not column[k]:
+            break
+        recent = [column[0]] + recent[:-1]
+        present = [m for m, q in enumerate(recent) if q]
         far = 2 * r + k
         mins.append(far - 2 * present[-1])
         maxs.append(far - 2 * present[0])
-        moved = far * len(level) - 2 * sum(m * count for m, count in enumerate(by_m))
-        means.append(moved / len(level))
+        moved = far * column[k] - 2 * sum(map(mul, descents, recent))
+        means.append(moved / column[k])
     return DisplacementProfile(
         tuple(range(len(mins))), tuple(mins), tuple(maxs), tuple(means)
     )
@@ -176,18 +179,17 @@ def certify(
     the ball saturates the finite group instead, so covering its diameter
     is enough there.
     """
-    clique_size = len(maximum_spherical(graph))
+    inv = build_involution(graph)
     if graph.is_complete:
         if radius < graph.n:
             raise ValueError(
                 f"radius {radius} does not cover the finite group; need >= {graph.n}"
             )
-    elif radius < clique_size + 1:
+    elif radius < inv.n + 1:
         raise ValueError(
-            f"radius {radius} too small; need >= {clique_size + 1} "
-            f"for a maximum clique of size {clique_size}"
+            f"radius {radius} too small; need >= {inv.n + 1} "
+            f"for a maximum clique of size {inv.n}"
         )
-    inv = build_involution(graph)
     census = ball_census(graph, radius, max_vertices=max_vertices)
     report = fixed_loci(inv, census)
     profile = displacement_profile(inv, census)

@@ -9,14 +9,16 @@ shares no code with the one-pass step in ``rcoxeter.words``.  Davis balls
 are rebuilt by a breadth-first search that finds vertices and cubes with
 ``multiply`` instead of the shortlex automaton of ``rcoxeter.davis``.  The
 conjugates, invariant cubes and displacement profile of the involution are
-recomputed by walking an enumerated ball, where the library streams the
-automaton's spheres without one.  The library reads each displacement
-off left descents and looks for invariant cubes in the clique's subgroup
-alone; ``sphere_states`` and ``multiply_walk`` redo both the way it was
+recomputed by walking an enumerated ball, where the library enumerates
+no vertex.  The library counts the displacements of each sphere by left
+descents off the growth series and looks for invariant cubes in the
+clique's subgroup alone; ``sphere_states`` and ``multiply_walk`` redo both the way it was
 done before, in one walk that multiplies out every vertex's conjugate,
-``left_descents`` finds left descents by multiplication, and
+``bitmask_walk`` reads each displacement off two bitmasks per automaton
+state, the way the library did before it read the profile off the growth
+series, ``left_descents`` finds left descents by multiplication, and
 ``closed_form_spheres`` counts each sphere's displacements from the
-growth series without enumerating anything.  Canonical cubes are recomputed by
+growth series by inclusion-exclusion.  Canonical cubes are recomputed by
 greedy right multiplication, where the library deletes descents in one
 pass.  Exports are re-serialized the way the library did before it built
 each vertex text from its parent's: one ``json.dumps`` of the whole
@@ -437,6 +439,34 @@ def profile_of(spheres) -> DisplacementProfile:
         tuple(high for _, high, _, _ in spheres),
         tuple(total / count for _, _, total, count in spheres),
     )
+
+
+def bitmask_walk(inv: Involution, ball) -> tuple:
+    """``multiply_walk(...).spheres`` from a walk of ``davis._spheres`` whose
+    states carry two bitmasks and no word, the way the library read the
+    profile before it read it off the growth series.
+
+    Each state carries LD(w) & C and the support of w.  An ascent w -> w*x
+    adds x to the left descents exactly when x is in C and every letter of
+    w commutes with x, and a vertex with m of them moves by 2r + k - 2m.
+    """
+    graph = ball.graph
+    masks = graph.neighbor_masks
+    k = inv.n
+    cmask = sum(1 << g for g in inv.clique)
+
+    def step(state, x):
+        ld, supp = state
+        bit = 1 << x
+        if bit & cmask and not supp & ~masks[x]:
+            ld |= bit
+        return ld, supp | bit
+
+    spheres = []
+    for r, level in enumerate(_spheres(graph, ball.radius - k, (0, 0), step)):
+        moved = [2 * r + k - 2 * ld.bit_count() for _, _, (ld, _) in level]
+        spheres.append((min(moved), max(moved), sum(moved), len(moved)))
+    return tuple(spheres)
 
 
 def left_descents(w: Word, graph: DefiningGraph) -> set[int]:

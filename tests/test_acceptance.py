@@ -156,9 +156,9 @@ def test_criterion_7_displacement_profile():
 
 
 def test_certify_is_linear_on_a_long_line():
-    # One walk of 40,000 states: the displacement comes from two bitmasks
-    # per state, so the infinite dihedral group is certified to radius
-    # 20,000 without conjugating words of 40,000 letters.
+    # The profile reads 20,000 spheres off the growth series, a few
+    # integer operations each, so the infinite dihedral group is certified
+    # to radius 20,000 without conjugating words of 40,000 letters.
     dinfty = preset("dinfty")
     start = time.perf_counter()
     certificate = certify(dinfty, 20000)

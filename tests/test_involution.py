@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -22,6 +23,7 @@ from rcoxeter import (
     preset,
     support,
 )
+from rcoxeter.davis import _lex_cliques
 from oracles import (
     complete_graph,
     conjugates,
@@ -91,6 +93,49 @@ class TestInvariantCubes:
                 assert multiply(t, t, graph) == IDENTITY
 
 
+class TestAxesTried:
+    """The axes ``invariant_cubes`` builds from the flipped generators are
+    the cliques a filter over every clique keeps, also where the flips are
+    not the whole clique, as a wrong conjugation would make them."""
+
+    @staticmethod
+    def filtered(inv, ball, flips_of):
+        cliques = _lex_cliques(ball.graph, ball.radius)
+        found = []
+        for r in range(min(inv.n, ball.radius - inv.n) + 1):
+            for base in combinations(inv.clique, r):
+                flips = set(flips_of(base))
+                found += [
+                    Cube(base, c)
+                    for c, _ in cliques
+                    if len(c) <= ball.radius - r
+                    and not set(c) & set(base)
+                    and flips <= set(c)
+                ]
+        return tuple(found)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_any_flips(self, monkeypatch, seed):
+        import rcoxeter.involution as involution_module
+
+        rng = random.Random(seed)
+        graph = random_graph(rng)
+        inv = build_involution(graph)
+        picks = {}
+
+        def flips_of(base):
+            if base not in picks:
+                picks[base] = tuple(g for g in range(graph.n) if rng.random() < 0.3)
+            return picks[base]
+
+        monkeypatch.setattr(
+            involution_module, "conjugate", lambda base, element, graph: flips_of(base)
+        )
+        for radius in range(inv.n, inv.n + 4):
+            census = ball_census(graph, radius)
+            assert invariant_cubes(inv, census) == self.filtered(inv, census, flips_of)
+
+
 class TestConjugates:
     def test_matches_conjugate_within_reliable_radius(self):
         rng = random.Random(29)
@@ -133,8 +178,9 @@ class TestConjugates:
 
 
 class TestOneWalk:
-    """``certify`` walks the spheres once, for the profile, holding a sphere
-    and the next at a time; the fixed loci need no walk."""
+    """``certify`` walks no sphere: the fixed loci come from the subsets of
+    the clique and the profile from the growth series.  Only ``build_ball``
+    walks the shortlex automaton."""
 
     @pytest.mark.parametrize(
         "graph, radius",
@@ -142,22 +188,25 @@ class TestOneWalk:
         ids=("pentagon-r8", "dinfty-r100", "K6-r6"),
     )
     def test_one_walk_per_certify(self, monkeypatch, graph, radius):
+        import rcoxeter.davis as davis_module
         import rcoxeter.involution as involution_module
         import rcoxeter.probe as probe_module
 
-        # The walk starts the automaton of ``davis._spheres`` as ``probe``
-        # imported it; ``involution`` has no name for it.
         walks = []
-        real = probe_module._spheres
+        real = davis_module._spheres
 
         def counted(graph, radius, *args):
             walks.append(radius)
             return real(graph, radius, *args)
 
-        monkeypatch.setattr(probe_module, "_spheres", counted)
+        monkeypatch.setattr(davis_module, "_spheres", counted)
         inv = build_involution(graph)
         assert certify(graph, radius).verdict
-        assert walks == [radius - inv.n]
+        displacement_profile(inv, ball_census(graph, radius))
+        assert walks == []
+        build_ball(graph, radius)
+        assert walks == [radius]
+        assert not hasattr(probe_module, "_spheres")
         assert not hasattr(involution_module, "_spheres")
 
     @pytest.mark.parametrize(
@@ -204,11 +253,10 @@ class TestOneWalk:
         ids=("pentagon-r11", "dinfty-r400"),
     )
     def test_certify_streams(self, graph, radius, bound):
-        # The walk holds one sphere and builds the next.  On the pentagon
-        # group the last two spheres are most of the ball, so the bound
-        # there only rules out a Ball; on the line a sphere is two vertices,
-        # while keeping every state up to radius 399 would hold about 4 MiB
-        # of conjugates.
+        # Nothing sized by a sphere is held: the profile reads the growth
+        # series.  On the pentagon group the bound rules out a Ball; on the
+        # line, keeping every vertex up to radius 399 with its conjugate
+        # would hold about 4 MiB.
         tracemalloc.start()
         try:
             assert certify(graph, radius).verdict
@@ -219,8 +267,9 @@ class TestOneWalk:
 
 
 class TestStreamingAgainstBallWalk:
-    """The search of W_C and the sphere-by-sphere walk against references
-    that walk an enumerated ball, given the ball itself and its census."""
+    """The search of W_C and the profile read off the growth series against
+    references that walk an enumerated ball, given the ball itself and its
+    census."""
 
     @staticmethod
     def assert_same(graph, radius):

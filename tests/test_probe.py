@@ -1,10 +1,13 @@
 import hashlib
 import json
+from time import perf_counter
 
 import pytest
 
 from rcoxeter import (
     IDENTITY,
+    BallCensus,
+    ball_census,
     build_ball,
     build_involution,
     certify,
@@ -13,7 +16,7 @@ from rcoxeter import (
     sphere,
 )
 from rcoxeter.cli import format_report, main
-from oracles import complete_graph, displacement
+from oracles import closed_form_spheres, complete_graph, displacement, profile_of
 
 SQUARE = preset("square")
 DINFTY = preset("dinfty")
@@ -63,6 +66,30 @@ class TestProfile:
         profile = displacement_profile(build_involution(GRID), build_ball(GRID, 4))
         assert all(v > 0 for v in profile.mins)
         assert profile.monotone
+
+    def test_hand_built_census_at_radius_40(self):
+        # The vertex cap would stop a census of this ball, about 2 * 10^17
+        # vertices; the profile reads the growth series out to radius 38
+        # and enumerates none of them.
+        census = BallCensus(PENTAGON, 40, 38, 0, ())
+        start = perf_counter()
+        profile = displacement_profile(build_involution(PENTAGON), census)
+        elapsed = perf_counter() - start
+        assert profile == profile_of(closed_form_spheres(PENTAGON, 40))
+        assert profile.radii == tuple(range(39))
+        assert elapsed < 0.05
+
+    def test_finite_group_at_a_radius_beyond_any_index(self):
+        # K4 presents (Z/2)^4: sphere r has C(4, r) vertices, each with r
+        # left descents in the clique, so each moves by 4; the profile
+        # stops at the first empty sphere.
+        graph = complete_graph(4)
+        profile = displacement_profile(
+            build_involution(graph), ball_census(graph, 10**30)
+        )
+        assert profile.radii == (0, 1, 2, 3, 4)
+        assert profile.mins == profile.maxs == (4,) * 5
+        assert profile.means == (4.0,) * 5
 
     def test_parity_matches_involution_length(self):
         for graph, radius in ((DINFTY, 5), (PENTAGON, 5), (GRID, 5)):
@@ -267,7 +294,7 @@ def test_cli_output_is_pinned(tmp_path, capsys, command, name, radius):
 
 def test_certify_past_the_default_cap_exits_three(capsys):
     # The cap reads the whole ball of the given radius, though certify
-    # walks only to the reliable radius.
+    # reads the profile only to the reliable radius.
     code = main(["certify", "--preset", "pentagon", "--radius", "14"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")

@@ -12,16 +12,17 @@ and the profile, read off a census and off a ball, against the references
 that walk an enumerated ball, and the bitmask flag check against the
 subset-by-subset reference, on whole balls and on balls missing one cube.
 The left-descent lemma is checked vertex by vertex; the invariant cubes
-found in the clique's subgroup and the profile's bitmask walk against the
-walk that multiplies out every conjugate, and the profile against the
-closed form from the growth series.  Examples are derandomized so every
+found in the clique's subgroup against the walk that multiplies out every
+conjugate, and the profile read off the growth series against that walk,
+against the walk of left-descent bitmasks and against the closed form by
+inclusion-exclusion.  Examples are derandomized so every
 run checks the same cases.
 """
 
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from rcoxeter import (
@@ -49,6 +50,7 @@ from rcoxeter import (
 from oracles import (
     assert_same_ball,
     bfs_ball,
+    bitmask_walk,
     closed_form_spheres,
     complete_graph,
     filtered_invariant_cubes,
@@ -164,7 +166,14 @@ def test_displacement_closed_form(graph, extra):
     assert_closed_form_displacement(graph, len(maximum_spherical(graph)) + extra)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+# Every example builds and walks a ball, so shrinking a failure could run
+# for minutes; the first failing example is reported as drawn.
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 @given(graphs(max_generators=7).filter(lambda g: not g.is_complete), st.integers(1, 5))
 def test_census_and_ball_match_ball_walk(graph, extra):
     """The fixed loci and the profile read the same off the census as off
@@ -204,26 +213,32 @@ def test_displacement_from_left_descents(graph):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(graphs(max_generators=7))
 def test_walk_matches_multiply_walk_at_every_radius(graph):
-    """The search of W_C finds the invariant cubes, and the bitmask walk the
+    """The search of W_C finds the invariant cubes, and the growth series the
     profile, of the walk that multiplies every state's conjugate and tests
-    every sphere, at every radius up to k + 5."""
+    every sphere, and of the walk of left-descent bitmasks, at every radius
+    up to k + 5."""
     inv = build_involution(graph)
     for radius in range(inv.n + 6):
         census = ball_census(graph, radius, max_vertices=10**8)
         walk = multiply_walk(inv, census)
         assert invariant_cubes(inv, census) == walk.cubes
-        assert displacement_profile(inv, census) == profile_of(walk.spheres)
+        profile = displacement_profile(inv, census)
+        assert profile == profile_of(walk.spheres)
+        assert profile == profile_of(bitmask_walk(inv, census))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(graphs(max_generators=7), st.integers(0, 5))
 def test_walk_matches_closed_form_profile(graph, extra):
-    """Each sphere's (min, max, sum, count) from the growth series gives the
-    walk's profile, complete graphs included."""
+    """Each sphere's (min, max, sum, count) by inclusion-exclusion, and by
+    the walk of left-descent bitmasks, gives the profile, complete graphs
+    included."""
     radius = len(maximum_spherical(graph)) + extra
     census = ball_census(graph, radius, max_vertices=10**8)
-    profile = displacement_profile(build_involution(graph), census)
+    inv = build_involution(graph)
+    profile = displacement_profile(inv, census)
     assert profile == profile_of(closed_form_spheres(graph, radius))
+    assert profile == profile_of(bitmask_walk(inv, census))
 
 
 def test_closed_form_profile_on_presets_and_complete_graphs():
@@ -233,8 +248,11 @@ def test_closed_form_profile_on_presets_and_complete_graphs():
     ]
     cases += [(complete_graph(n), radius) for n in (1, 4, 8) for radius in range(12)]
     for graph, radius in cases:
-        profile = displacement_profile(build_involution(graph), ball_census(graph, radius))
+        inv = build_involution(graph)
+        census = ball_census(graph, radius)
+        profile = displacement_profile(inv, census)
         assert profile == profile_of(closed_form_spheres(graph, radius))
+        assert profile == profile_of(bitmask_walk(inv, census))
 
 
 def test_displacement_closed_form_at_large_radii():
