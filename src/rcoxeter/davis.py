@@ -82,16 +82,18 @@ class Ball:
     """A radius-L ball: shortlex-ordered vertices and complete cubes, sorted
     by base length, then base, then axis.
 
-    Each vertex indexes the cubes containing it in one list per dimension,
-    0 up to the top dimension, each list in ``cubes`` order; the keys of
-    that index are the vertex set.  The index is built by walking edges:
-    a cube's vertices are its base times the subsets of its axis, reached
-    from the base one axis letter at a time, and each such step v -> v*g is
-    an ascent, since the axis is a clique that misses the base's descents.
-    Each ascent edge is multiplied once and remembered by vertex number and
-    generator, so building the index costs one ``multiply`` per edge of the
-    ball.  ``has_cube`` reads the index at the cube's base, where a stored
-    cube is always filed.
+    A vertex is known by its number, its place in the shortlex order; the
+    numbering is kept, and every reader of the ball goes through it.  Each
+    number indexes the cubes containing its vertex in one list per
+    dimension, 0 up to the top dimension, each list in ``cubes`` order.
+    The index is built by walking edges: a cube's vertices are its base
+    times the subsets of its axis, reached from the base one axis letter at
+    a time, and each such step v -> v*g is an ascent, since the axis is a
+    clique that misses the base's descents.  Each ascent edge is multiplied
+    once and kept in an ascent table by vertex number and generator, so the
+    index costs one ``multiply`` per edge of the ball and the edges can be
+    read back without one.  ``has_cube`` reads the index at the cube's
+    base, where a stored cube is always filed.
     """
 
     def __init__(
@@ -117,12 +119,12 @@ class Ball:
             offsets[r] += offsets[r - 1]
         self._offsets = offsets
         dimensions = range(max((len(axis) for _, axis in cubes), default=0) + 1)
-        number = {w: i for i, w in enumerate(vertices)}
-        groups = [[[] for _ in dimensions] for _ in vertices]
-        # up[i * n + g] is the number of vertex i times g, or -1 until the
-        # edge is first walked.
+        self._number = number = {w: i for i, w in enumerate(vertices)}
+        self._groups = groups = [[[] for _ in dimensions] for _ in vertices]
+        # up[i * n + g] is the number of vertex i times g, or -1 where no
+        # stored cube has that edge.
         n = graph.n
-        up = [-1] * (len(vertices) * n)
+        self._up = up = [-1] * (len(vertices) * n)
         for cube in cubes:
             base, axis = cube
             corners = [number[base]]
@@ -135,16 +137,15 @@ class Ball:
             d = len(axis)
             for i in corners:
                 groups[i][d].append(cube)
-        self._cubes_by_vertex = dict(zip(vertices, groups))
 
     def __contains__(self, vertex: Word) -> bool:
-        return vertex in self._cubes_by_vertex
+        return vertex in self._number
 
     def has_cube(self, cube: Cube) -> bool:
         base, axis = cube
-        groups = self._cubes_by_vertex.get(base)
-        d = len(axis)
-        return groups is not None and d < len(groups) and cube in groups[d]
+        i = self._number.get(base)
+        groups = () if i is None else self._groups[i]
+        return len(axis) < len(groups) and cube in groups[len(axis)]
 
     def cell_counts(self) -> tuple[int, ...]:
         """Number of stored cubes per dimension."""
@@ -368,10 +369,10 @@ def canonical_cube(g: Word, axis, graph: DefiningGraph) -> Cube:
 def cubes_at_vertex(ball: Ball, v: Word) -> dict[int, tuple[Cube, ...]]:
     """All stored cubes containing v, grouped by dimension in ascending
     order, each group in ``ball.cubes`` order; no group is empty."""
-    groups = ball._cubes_by_vertex.get(v)
-    if groups is None:
+    i = ball._number.get(v)
+    if i is None:
         raise ValueError(f"vertex {v!r} is not in the ball")
-    return {d: tuple(cs) for d, cs in enumerate(groups) if cs}
+    return {d: tuple(cs) for d, cs in enumerate(ball._groups[i]) if cs}
 
 
 class FlagViolation(NamedTuple):
@@ -413,10 +414,7 @@ def links_flag_check(ball: Ball) -> FlagCheckReport:
     # offsets[r + 1] vertices have length at most r, for r from -1 up to
     # the longest length; a larger reliable radius covers the whole ball.
     end = offsets[max(0, min(ball.reliable_radius + 1, len(offsets) - 1))]
-    reliable = ball.vertices[:end]
-    by_vertex = ball._cubes_by_vertex
-    for checked, v in enumerate(reliable, 1):
-        groups = by_vertex[v]
+    for checked, (v, groups) in enumerate(zip(ball.vertices[:end], ball._groups), 1):
         if len(groups) < 3:
             continue
         masks = [0] * n
@@ -438,24 +436,23 @@ def links_flag_check(ball: Ball) -> FlagCheckReport:
     return FlagCheckReport(True, (), end)
 
 
-def _vertex_texts(ball: Ball, labels: Sequence[str]) -> tuple[dict[Word, int], list[str]]:
-    """Number the vertices and spell each one with the given generator
+def _vertex_texts(ball: Ball, labels: Sequence[str]) -> list[str]:
+    """Spell each vertex, in the ball's numbering, with the given generator
     labels, space-joined, the identity as the empty string.
 
     Each text is its parent's plus one label: a prefix of a normal form is a
     normal form, and the shortlex order lists every parent before its
-    children.
+    children, so the parent's number is already spelled.
     """
-    index: dict[Word, int] = {}
+    number = ball._number
     texts: list[str] = []
-    for i, w in enumerate(ball.vertices):
-        index[w] = i
+    for w in ball.vertices:
         if not w:
             texts.append("")
             continue
-        parent = texts[index[w[:-1]]]
+        parent = texts[number[w[:-1]]]
         texts.append(f"{parent} {labels[w[-1]]}" if parent else labels[w[-1]])
-    return index, texts
+    return texts
 
 
 def export_complex(ball: Ball, format: str) -> str:
@@ -464,12 +461,14 @@ def export_complex(ball: Ball, format: str) -> str:
     The JSON is the text ``json.dumps`` gives of {"radius", "reliable_radius",
     "vertices", "cubes": [{"base", "axis"}, ...]} with positive-dimensional
     cubes, each string quoted once.  A DOT label escapes backslash and
-    double quote.
+    double quote.  Vertices are named by their numbers in the ball, and a
+    DOT edge joins its base to the base's entry in the ascent table, so the
+    export makes no ``multiply``.
     """
-    graph = ball.graph
-    labels = graph.labels
+    labels = ball.graph.labels
+    number = ball._number
     if format == "json":
-        index, texts = _vertex_texts(ball, labels)
+        texts = _vertex_texts(ball, labels)
         quoted = [encode_basestring_ascii(t) for t in texts]
         axes: dict[Clique, str] = {}
         cubes = []
@@ -479,21 +478,21 @@ def export_complex(ball: Ball, format: str) -> str:
             axis_text = axes.get(axis)
             if axis_text is None:
                 axis_text = axes[axis] = json.dumps([labels[g] for g in axis])
-            cubes.append(f'{{"base": {quoted[index[base]]}, "axis": {axis_text}}}')
+            cubes.append(f'{{"base": {quoted[number[base]]}, "axis": {axis_text}}}')
         return (
             f'{{"radius": {ball.radius}, "reliable_radius": {ball.reliable_radius}, '
             f'"vertices": [{", ".join(quoted)}], "cubes": [{", ".join(cubes)}]}}\n'
         )
     if format == "dot":
         escaped = [label.replace("\\", "\\\\").replace('"', '\\"') for label in labels]
-        index, texts = _vertex_texts(ball, escaped)
+        texts = _vertex_texts(ball, escaped)
         lines = ["graph davis_ball {"]
         lines.extend(f'  n{i} [label="{text or "1"}"];' for i, text in enumerate(texts))
-        lines.extend(
-            f"  n{index[base]} -- n{index[multiply(base, axis, graph)]};"
-            for base, axis in ball.cubes
-            if len(axis) == 1
-        )
+        n, up = ball.graph.n, ball._up
+        for base, axis in ball.cubes:
+            if len(axis) == 1:
+                i = number[base]
+                lines.append(f"  n{i} -- n{up[i * n + axis[0]]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown export format {format!r}")

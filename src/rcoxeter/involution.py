@@ -198,14 +198,16 @@ def antipodal_check(inv: Involution, graph: DefiningGraph) -> bool:
     Identify each element of the finite subgroup spanned by the clique with
     its support indicator vector; multiplying by the involution must
     complement every coordinate, the discrete antipodal map.  The subsets
-    are built by doubling, each with its bitmask, and each is multiplied
-    once.
+    are visited in Gray-code order, each one letter away from the last, so
+    each product is the previous one times one generator: one ``multiply``
+    per nonempty subset and memory linear in the clique.
     """
-    subsets = [(IDENTITY, 0)]
-    for g in inv.clique:
-        subsets += [(s + (g,), m | 1 << g) for s, m in subsets]
-    full = subsets[-1][1]
-    return all(
-        _support_mask(multiply(inv.element, subset, graph)) == full ^ bits
-        for subset, bits in subsets
-    )
+    clique = inv.clique
+    product, bits, full = inv.element, 0, _support_mask(clique)
+    for step in range(1, 1 << len(clique)):
+        if _support_mask(product) != full ^ bits:
+            return False
+        g = clique[(step & -step).bit_length() - 1]
+        product = multiply(product, (g,), graph)
+        bits ^= 1 << g
+    return _support_mask(product) == full ^ bits

@@ -706,3 +706,20 @@ def test_export_cli_output_is_pinned(tmp_path, capsys, name, radius, format):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_CLI_DIGESTS[name, radius, format]
+
+
+@pytest.mark.parametrize("name, radius", [("pentagon", 6), ("K5", 5)])
+def test_export_reads_the_ball_and_makes_no_multiply(monkeypatch, name, radius):
+    # Both formats name vertices by the ball's numbering and read the DOT
+    # edges from its ascent table, so no product is formed after the build.
+    import rcoxeter.davis as davis_module
+
+    ball = build_ball(complete_graph(5) if name == "K5" else preset(name), radius)
+
+    def refuse(*args):
+        raise AssertionError("export_complex called multiply")
+
+    monkeypatch.setattr(davis_module, "multiply", refuse)
+    for format in ("json", "dot"):
+        out = export_complex(ball, format)
+        assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_CLI_DIGESTS[name, radius, format]

@@ -391,6 +391,23 @@ class TestAntipodal:
             graph = random_graph(rng)
             assert antipodal_check(build_involution(graph), graph)
 
+    def test_gray_code_makes_one_letter_products(self, monkeypatch):
+        # Each nonempty subset is the previous one times one generator.
+        import rcoxeter.involution as involution_module
+
+        graph = complete_graph(6)
+        inv = build_involution(graph)
+        letters = []
+
+        def recorded(x, y, graph):
+            letters.append(y)
+            return multiply(x, y, graph)
+
+        monkeypatch.setattr(involution_module, "multiply", recorded)
+        assert antipodal_check(inv, graph)
+        assert len(letters) == 2**6 - 1
+        assert all(len(y) == 1 for y in letters)
+
     @pytest.mark.parametrize(
         "wrong",
         (lambda x, y, graph: x, lambda x, y, graph: x + y),

@@ -7,10 +7,11 @@ algorithm in ``oracles`` and the reflection matrices share no code with
 ``rcoxeter.words``; the breadth-first ball in ``oracles`` shares none with
 ``rcoxeter.davis.build_ball``, and the greedy canonical cube none with
 ``rcoxeter.davis.canonical_cube``.  The export is checked byte for byte
-against the one-``json.dumps`` serializer in ``oracles``, the fixed loci
-and the profile, read off a census and off a ball, against the references
-that walk an enumerated ball, and the bitmask flag check against the
-subset-by-subset reference, on whole balls and on balls missing one cube.
+against the one-``json.dumps`` serializer in ``oracles``, on whole balls
+and on balls missing one cube, the fixed loci and the profile, read off a
+census and off a ball, against the references that walk an enumerated
+ball, and the bitmask flag check against the subset-by-subset reference,
+on whole balls and on balls missing one cube.
 The left-descent lemma is checked vertex by vertex; the invariant cubes
 found in the clique's subgroup against the walk that multiplies out every
 conjugate, and the profile read off the growth series against that walk,
@@ -288,15 +289,25 @@ def dot_escaped(graph):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(labelled_random_graphs(), st.integers(0, 5))
-def test_export_matches_reference(graph, radius):
+@given(labelled_random_graphs(), st.integers(0, 5), st.data())
+def test_export_matches_reference(graph, radius, data):
+    # The DOT edges are read from the ascent table that ``Ball`` fills from
+    # the cubes it is given, so a hand-built ball missing one positive-
+    # dimensional cube is exported too.
     ball = build_ball(graph, radius)
-    assert export_complex(ball, "json") == reference_export(ball, "json")
-    dot = export_complex(ball, "dot")
-    if not any('"' in label or "\\" in label for label in graph.labels):
-        assert dot == reference_export(ball, "dot")
-    # Escaping is per label, so it equals the reference on escaped labels.
-    assert dot == reference_export(build_ball(dot_escaped(graph), radius), "dot")
+    escaped = build_ball(dot_escaped(graph), radius)
+    pairs = [(ball, escaped)]
+    cells = [cube for cube in ball.cubes if cube.dimension >= 1]
+    if cells:
+        cube = cells[data.draw(st.integers(0, len(cells) - 1))]
+        pairs.append((without(ball, cube), without(escaped, cube)))
+    for ball, escaped in pairs:
+        assert export_complex(ball, "json") == reference_export(ball, "json")
+        dot = export_complex(ball, "dot")
+        if not any('"' in label or "\\" in label for label in graph.labels):
+            assert dot == reference_export(ball, "dot")
+        # Escaping is per label, so it equals the reference on escaped labels.
+        assert dot == reference_export(escaped, "dot")
 
 
 def without(ball, cube):
