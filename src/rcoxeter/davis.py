@@ -28,7 +28,7 @@ from itertools import count, islice
 from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import mul
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import DefiningGraph
 # all_cliques is not called here; it stays a name of this module because
@@ -260,69 +260,50 @@ def ball_census(
     return BallCensus(graph, radius, radius - k, vertices, cells[: radius + 1])
 
 
-def _spheres(
-    graph: DefiningGraph, radius: int, extra, carry: Callable
-) -> Iterator[list[tuple]]:
-    """Yield the spheres 0..radius of shortlex-automaton states, stopping at
-    the first empty one.
-
-    A state is (blocked, descents, extra) for a normal form w.  ``blocked``
-    holds the generators x for which w*x is not a longer normal form, and
-    ``descents`` the x that shorten w.  Extending a sphere in shortlex order
-    by the unblocked letters in ascending order lists the next sphere once
-    and in shortlex order.  ``extra`` is the caller's: the identity carries
-    the given one, and w*x carries ``carry(extra of w, x)``.  The state
-    holds no word; a caller that needs w carries it, as ``build_ball``
-    does with ``lambda w, x: w + (x,)``.
-    """
-    if radius < 0:
-        return
-    masks = graph.neighbor_masks
-    letters = [(x, 1 << x) for x in range(graph.n)]
-    level = [(0, 0, extra)]
-    yield level
-    for _ in range(radius):
-        # After w*x, x is blocked, and so is each letter commuting with x
-        # that was blocked or is smaller than x; the descents are x and
-        # the descents of w commuting with x.
-        level = [
-            (
-                bit | masks[x] & (blocked | bit - 1),
-                bit | descents & masks[x],
-                carry(extra, x),
-            )
-            for blocked, descents, extra in level
-            for x, bit in letters
-            if not blocked & bit
-        ]
-        if not level:
-            return
-        yield level
-
-
 def build_ball(
     graph: DefiningGraph, radius: int, max_vertices: int = 1_000_000
 ) -> Ball:
     """Enumerate the ball of the given radius around the identity.
 
     The vertex cap is checked by the census first.  Spheres are then read
-    off the shortlex automaton, up to the radius or the first empty one.
-    The cube (w, T) is based at w exactly when T misses descents(w); with
-    the cliques taken lexicographically, cubes come out in the order
-    ``Ball`` keeps: by base length, then base, then axis.
+    off the shortlex automaton, up to the radius or the first empty one.  A
+    state is (blocked, descents, w) for a normal form w: ``blocked`` holds
+    the generators x for which w*x is not a longer normal form, and
+    ``descents`` the x that shorten w.  Extending a sphere in shortlex order
+    by the unblocked letters in ascending order lists the next sphere once
+    and in shortlex order.  The cube (w, T) is based at w exactly when T
+    misses descents(w); with the cliques taken lexicographically, each
+    sphere's cubes come out in the order ``Ball`` keeps: by base length,
+    then base, then axis.  Only the sphere being extended is held.
     """
     census = ball_census(graph, radius, max_vertices)
     cliques = _lex_cliques(graph, radius)
-    levels = list(_spheres(graph, radius, IDENTITY, lambda w, x: w + (x,)))
-    vertices = tuple(w for level in levels for _, _, w in level)
+    masks = graph.neighbor_masks
+    letters = [(x, 1 << x) for x in range(graph.n)]
+    vertices: list[Word] = []
     cubes: list[Cube] = []
-    for r, level in enumerate(levels):
+    level = [(0, 0, IDENTITY)]
+    for r in count():
+        vertices += [w for _, _, w in level]
         fitting = [(c, mask) for c, mask in cliques if len(c) <= radius - r]
         for _, descents, w in level:
             cubes += [
                 tuple.__new__(Cube, (w, c)) for c, mask in fitting if not mask & descents
             ]
-    return Ball(graph, radius, vertices, tuple(cubes), census.reliable_radius)
+        if r == radius:
+            break
+        # After w*x, x is blocked, and so is each letter commuting with x
+        # that was blocked or is smaller than x; the descents are x and
+        # the descents of w commuting with x.
+        level = [
+            (bit | masks[x] & (blocked | bit - 1), bit | descents & masks[x], w + (x,))
+            for blocked, descents, w in level
+            for x, bit in letters
+            if not blocked & bit
+        ]
+        if not level:
+            break
+    return Ball(graph, radius, tuple(vertices), tuple(cubes), census.reliable_radius)
 
 
 def sphere(ball: Ball, r: int) -> tuple[Word, ...]:
@@ -402,11 +383,12 @@ def links_flag_check(ball: Ball) -> FlagCheckReport:
     The reliable vertices are a prefix of the shortlex order.  At each one
     the stored squares become one neighbour bitmask per generator.  Three
     such edges form a triangle: a square whose two generators share a
-    neighbour.  A vertex without one is passed over; otherwise only the
-    squares whose two edges are stored at the vertex count, and the
-    cliques of three or more of their masks are tested, in size-then-
+    neighbour.  A vertex without one is passed over; otherwise the cliques
+    of those masks are listed with the stored edges as the root set, and
+    the ones of three or more generators are tested, in size-then-
     lexicographic order.  A square missing one of its edges, possible only
-    in a hand-built ``Ball``, joins no two edges and is ignored.
+    in a hand-built ``Ball``, has a generator outside the root, joins no
+    two edges and is ignored.
     """
     graph = ball.graph
     n = graph.n
@@ -428,8 +410,7 @@ def links_flag_check(ball: Ball) -> FlagCheckReport:
         edges = 0
         for _, (g,) in groups[1]:
             edges |= 1 << g
-        local = tuple(m & edges if edges >> g & 1 else 0 for g, m in enumerate(masks))
-        for level in islice(_clique_levels(n, local), 3, None):
+        for level in islice(_clique_levels(n, masks, edges), 3, None):
             for axis, _ in level:
                 if not ball.has_cube(canonical_cube(v, axis, graph)):
                     return FlagCheckReport(False, (FlagViolation(v, axis),), checked)

@@ -33,12 +33,12 @@ fixed point at its center.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple
 
 from .davis import Ball, BallCensus, Cube, canonical_cube
 from .graphs import DefiningGraph
-from .spherical import Clique, _bits, maximum_spherical
+from .spherical import Clique, _bits, _clique_levels, maximum_spherical
 from .words import IDENTITY, Word, conjugate, multiply, support, word_to_text
 
 
@@ -83,9 +83,10 @@ def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...
     radius, the subsets S of the clique in shortlex order; each is its own
     normal form and its descents are S.  The cube (S, T) is invariant iff
     T misses S, so that S is the base, and the support of S^-1 * gamma * S
-    is contained in T.  So the axes tried are that support, when it is a
-    clique missing S, joined with each clique of the generators adjacent
-    to all of it and outside S, sorted lexicographically.
+    is contained in T.  So the axes tried are that support, the flips, when
+    it is a clique missing S, joined with each clique ``_clique_levels``
+    lists from a root set: the generators adjacent to every flip and in
+    neither S nor the flips.  The axes are sorted lexicographically.
     """
     graph = ball.graph
     masks = graph.neighbor_masks
@@ -101,18 +102,14 @@ def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...
                 near &= masks[g] | 1 << g
             if flips & ~near or flips & descents:
                 continue
-            # Each axis grows from the flips by its largest added generator.
-            level = [(flips, near & ~flips & ~descents)]
-            axes: list[Clique] = []
-            for _ in range(flips.bit_count(), room + 1):
-                if not level:
-                    break
-                axes += [tuple(_bits(axis)) for axis, _ in level]
-                level = [
-                    (axis | 1 << v, above & masks[v] >> v + 1 << v + 1)
-                    for axis, above in level
-                    for v in _bits(above)
-                ]
+            # An axis has at most ``room`` generators, and no clique more
+            # than n: the smaller bound keeps islice's stop an index.
+            flipped = tuple(_bits(flips))
+            levels = islice(
+                _clique_levels(graph.n, masks, near & ~flips & ~descents),
+                min(room, graph.n) + 1 - len(flipped),
+            )
+            axes = [tuple(sorted(flipped + c)) for level in levels for c, _ in level]
             found.extend(Cube(base, axis) for axis in sorted(axes))
     return tuple(found)
 

@@ -12,7 +12,7 @@ enumeration order everywhere is size first, then lexicographic.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import DefiningGraph, _Frozen
 
@@ -48,17 +48,21 @@ def is_spherical(subset: Iterable[int], graph: DefiningGraph) -> bool:
     )
 
 
-def _clique_levels(n: int, masks: tuple[int, ...]) -> Iterator[list[tuple[Clique, int]]]:
+def _clique_levels(
+    n: int, masks: Sequence[int], root: int = -1
+) -> Iterator[list[tuple[Clique, int]]]:
     """Yield the cliques of an n-vertex graph given as neighbor bitmasks,
     one size at a time from the empty clique, each size in lexicographic
     order.
 
-    A clique comes paired with the vertices above its largest that are
-    adjacent to all of it: the clique's extensions, so the next size has
-    as many cliques as those masks have bits.  Cliques are grown by their
-    largest vertex, and a size is built only when the next one is asked for.
+    Only the vertices in the bitmask ``root`` are used, every vertex by
+    default, so the cliques are those of the subgraph they induce.  A clique
+    comes paired with the root vertices above its largest that are adjacent
+    to all of it: the clique's extensions, so the next size has as many
+    cliques as those masks have bits.  Cliques are grown by their largest
+    vertex, and a size is built only when the next one is asked for.
     """
-    level: list[tuple[Clique, int]] = [((), (1 << n) - 1)]
+    level: list[tuple[Clique, int]] = [((), root & (1 << n) - 1)]
     while level:
         yield level
         level = [

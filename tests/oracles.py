@@ -18,7 +18,14 @@ done before, in one walk that multiplies out every vertex's conjugate,
 state, the way the library did before it read the profile off the growth
 series, ``left_descents`` finds left descents by multiplication, and
 ``closed_form_spheres`` counts each sphere's displacements from the
-growth series by inclusion-exclusion.  Canonical cubes are recomputed by
+growth series by inclusion-exclusion.  ``sphere_states`` and
+``bitmask_walk`` walk ``automaton_spheres``, the shortlex-automaton walker
+that was ``davis._spheres`` before ``build_ball`` ran the automaton
+itself, so a change to the library's step rule no longer reaches them.
+``state_census`` walks the same automaton with merged states, each with
+the number of words it stands for, and so counts the spheres, cubes and
+displacements of balls far too large to enumerate, without the growth
+series or the library's clique counts.  Canonical cubes are recomputed by
 greedy right multiplication, where the library deletes descents in one
 pass.  Exports are re-serialized the way the library did before it built
 each vertex text from its parent's: one ``json.dumps`` of the whole
@@ -37,8 +44,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from math import comb
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from rcoxeter import (
     IDENTITY,
@@ -66,7 +74,7 @@ from rcoxeter import (
     support,
     word_to_text,
 )
-from rcoxeter.davis import _growth_columns, _lex_cliques, _spheres
+from rcoxeter.davis import _growth_columns, _lex_cliques
 from rcoxeter.spherical import _clique_counts
 
 
@@ -374,12 +382,55 @@ def assert_same_ball(ball: Ball, oracle: Ball) -> None:
         assert cubes_at_vertex(ball, v) == cubes_through(oracle, v)
 
 
+def automaton_spheres(
+    graph: DefiningGraph, radius: int, extra, carry: Callable
+) -> Iterator[Counter]:
+    """Yield the spheres 0..radius of shortlex-automaton states, stopping at
+    the first empty one.  This is the walker ``davis._spheres`` was before
+    ``build_ball`` ran the automaton itself.
+
+    A state is (blocked, descents, extra) for a normal form w.  ``blocked``
+    holds the generators x for which w*x is not a longer normal form, and
+    ``descents`` the x that shorten w.  Extending a sphere in shortlex order
+    by the unblocked letters in ascending order lists the next sphere once
+    and in shortlex order.  ``extra`` is the caller's: the identity carries
+    the given one, and w*x carries ``carry(extra of w, x)``.  A sphere is a
+    ``Counter`` of states, each with the number of normal forms it stands
+    for; a walk whose ``extra`` holds the word merges no two states, so its
+    spheres keep the shortlex order.
+    """
+    if radius < 0:
+        return
+    masks = graph.neighbor_masks
+    letters = [(x, 1 << x) for x in range(graph.n)]
+    level = Counter({(0, 0, extra): 1})
+    yield level
+    for _ in range(radius):
+        # After w*x, x is blocked, and so is each letter commuting with x
+        # that was blocked or is smaller than x; the descents are x and
+        # the descents of w commuting with x.
+        nxt: Counter = Counter()
+        for (blocked, descents, extra), count in level.items():
+            for x, bit in letters:
+                if not blocked & bit:
+                    state = (
+                        bit | masks[x] & (blocked | bit - 1),
+                        bit | descents & masks[x],
+                        carry(extra, x),
+                    )
+                    nxt[state] += count
+        if not nxt:
+            return
+        yield nxt
+        level = nxt
+
+
 def sphere_states(inv: Involution, ball):
     """Yield the spheres 0, 1, ... up to the reliable radius of a ball or
     census, as lists of ``(word, blocked, descents, conj)`` automaton
     states in shortlex order, where conj is word^-1 * gamma * word.
 
-    The automaton is ``davis._spheres``; each state carries its word and
+    The automaton is ``automaton_spheres``; each state carries its word and
     its conjugate, and the conjugate by w*x is x times the conjugate by w
     times x, one ``multiply`` of a word about as long as the conjugate.
     This is how the library walked the spheres before it read the
@@ -392,7 +443,7 @@ def sphere_states(inv: Involution, ball):
         return w + (x,), multiply((x,), conj + (x,), graph)
 
     start = (IDENTITY, inv.element)
-    for level in _spheres(graph, ball.radius - inv.n, start, step):
+    for level in automaton_spheres(graph, ball.radius - inv.n, start, step):
         yield [(w, blocked, descents, conj) for blocked, descents, (w, conj) in level]
 
 
@@ -441,10 +492,30 @@ def profile_of(spheres) -> DisplacementProfile:
     )
 
 
+def histogram_stats(histogram: dict[int, int]) -> tuple[int, int, int, int]:
+    """The (min, max, sum, count) of the values a histogram counts."""
+    return (
+        min(histogram),
+        max(histogram),
+        sum(value * count for value, count in histogram.items()),
+        sum(histogram.values()),
+    )
+
+
+def _displacements(level: Counter, r: int, k: int) -> dict[int, int]:
+    """The histogram of displacements over sphere r, whose states carry
+    LD(w) & C first in their extra: a vertex with m left descents in the
+    clique C of k generators moves by 2r + k - 2m."""
+    moved: Counter = Counter()
+    for (_, _, (ld, _)), count in level.items():
+        moved[2 * r + k - 2 * ld.bit_count()] += count
+    return dict(moved)
+
+
 def bitmask_walk(inv: Involution, ball) -> tuple:
-    """``multiply_walk(...).spheres`` from a walk of ``davis._spheres`` whose
-    states carry two bitmasks and no word, the way the library read the
-    profile before it read it off the growth series.
+    """``multiply_walk(...).spheres`` from a walk of ``automaton_spheres``
+    whose states carry two bitmasks and no word, the way the library read
+    the profile before it read it off the growth series.
 
     Each state carries LD(w) & C and the support of w.  An ascent w -> w*x
     adds x to the left descents exactly when x is in C and every letter of
@@ -462,11 +533,60 @@ def bitmask_walk(inv: Involution, ball) -> tuple:
             ld |= bit
         return ld, supp | bit
 
-    spheres = []
-    for r, level in enumerate(_spheres(graph, ball.radius - k, (0, 0), step)):
-        moved = [2 * r + k - 2 * ld.bit_count() for _, _, (ld, _) in level]
-        spheres.append((min(moved), max(moved), sum(moved), len(moved)))
-    return tuple(spheres)
+    levels = enumerate(automaton_spheres(graph, ball.radius - k, (0, 0), step))
+    return tuple(histogram_stats(_displacements(level, r, k)) for r, level in levels)
+
+
+class StateCensus(NamedTuple):
+    """What ``state_census`` counts in the ball of radius R: the size of
+    each nonempty sphere, the cubes of the ball by dimension, and for each
+    nonempty sphere up to R - k the histogram of its displacements."""
+
+    sphere_sizes: tuple[int, ...]
+    cells_by_dimension: tuple[int, ...]
+    displacements: tuple[dict[int, int], ...]
+
+
+def state_census(graph: DefiningGraph, radius: int) -> StateCensus:
+    """Count the ball of a radius by automaton state, with multiplicity.
+
+    The next sphere depends only on the states of this one, not on the
+    words, so ``automaton_spheres`` merges the words that share a state and
+    counts them: the transfer-matrix count of an automaton's words (Epstein
+    et al., *Word Processing in Groups*).  Besides blocked and descents a
+    state carries LD(w) & C and the generators of the maximum clique C that
+    commute with every letter of w; w*x adds x to the left descents exactly
+    when x is one of the latter.  Sphere r bases one d-cube at each vertex
+    per clique of d <= R - r generators, from ``brute_force_cliques``, that
+    misses its descents, and a vertex with m left descents in C moves by
+    2r + k - 2m.  Neither the growth series nor the library's clique counts
+    are used, so this checks them at radii no enumeration reaches.
+    """
+    masks = graph.neighbor_masks
+    clique = brute_force_maximum_clique(graph)
+    k = len(clique)
+    cliques = [(len(c), sum(1 << g for g in c)) for c in brute_force_cliques(graph)]
+
+    def step(state, x):
+        ld, near = state
+        return ld | 1 << x & near, near & masks[x]
+
+    sizes = []
+    cells = [0] * (min(k, radius) + 1)
+    histograms = []
+    start = (0, sum(1 << g for g in clique))
+    for r, level in enumerate(automaton_spheres(graph, radius, start, step)):
+        sizes.append(sum(level.values()))
+        by_descents: Counter = Counter()
+        for (_, descents, _), count in level.items():
+            by_descents[descents] += count
+        for descents, count in by_descents.items():
+            for d, mask in cliques:
+                if d <= radius - r and not mask & descents:
+                    cells[d] += count
+        if r <= radius - k:
+            histograms.append(_displacements(level, r, k))
+    return StateCensus(tuple(sizes), tuple(cells), tuple(histograms))
 
 
 def left_descents(w: Word, graph: DefiningGraph) -> set[int]:

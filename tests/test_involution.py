@@ -7,6 +7,7 @@ import pytest
 
 from rcoxeter import (
     IDENTITY,
+    BallCensus,
     Cube,
     antipodal_check,
     ball_census,
@@ -180,7 +181,7 @@ class TestConjugates:
 class TestOneWalk:
     """``certify`` walks no sphere: the fixed loci come from the subsets of
     the clique and the profile from the growth series.  Only ``build_ball``
-    walks the shortlex automaton."""
+    walks the shortlex automaton, and it builds one ``Ball``."""
 
     @pytest.mark.parametrize(
         "graph, radius",
@@ -192,22 +193,22 @@ class TestOneWalk:
         import rcoxeter.involution as involution_module
         import rcoxeter.probe as probe_module
 
-        walks = []
-        real = davis_module._spheres
+        built = []
 
-        def counted(graph, radius, *args):
-            walks.append(radius)
-            return real(graph, radius, *args)
+        class Counted(davis_module.Ball):
+            def __init__(self, graph, radius, *rest):
+                built.append(radius)
+                super().__init__(graph, radius, *rest)
 
-        monkeypatch.setattr(davis_module, "_spheres", counted)
+        monkeypatch.setattr(davis_module, "Ball", Counted)
         inv = build_involution(graph)
         assert certify(graph, radius).verdict
         displacement_profile(inv, ball_census(graph, radius))
-        assert walks == []
-        build_ball(graph, radius)
-        assert walks == [radius]
-        assert not hasattr(probe_module, "_spheres")
-        assert not hasattr(involution_module, "_spheres")
+        assert built == []
+        assert isinstance(build_ball(graph, radius), Counted)
+        assert built == [radius]
+        for module in (davis_module, involution_module, probe_module):
+            assert not hasattr(module, "_spheres")
 
     @pytest.mark.parametrize(
         "graph, radius",
@@ -342,6 +343,13 @@ class TestFixedLoci:
                 report = fixed_loci(inv, build_ball(graph, radius))
                 assert report.unique_point, (graph.labels, radius)
                 assert all(l.dimension == 0 for l in report.loci)
+        # Hand-built censuses of an infinite group, the second at a radius
+        # no index reaches: the axis search bounds its clique sizes by n.
+        inv = build_involution(PENTAGON)
+        for radius in (40, 10**30):
+            census = BallCensus(PENTAGON, radius, radius - 2, 0, ())
+            assert invariant_cubes(inv, census) == (Cube(IDENTITY, (0, 1)),)
+            assert fixed_loci(inv, census).unique_point
 
     def test_locus_sits_at_the_home_cube_with_gamma_translation(self):
         for graph in ALL_PRESETS:

@@ -16,11 +16,14 @@ The left-descent lemma is checked vertex by vertex; the invariant cubes
 found in the clique's subgroup against the walk that multiplies out every
 conjugate, and the profile read off the growth series against that walk,
 against the walk of left-descent bitmasks and against the closed form by
-inclusion-exclusion.  Examples are derandomized so every
+inclusion-exclusion.  The census, the vertex cap and the profile are
+checked at radii up to 40, and on ``dinfty`` at 400, against the count of
+automaton states with multiplicity.  Examples are derandomized so every
 run checks the same cases.
 """
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -30,6 +33,7 @@ from rcoxeter import (
     Ball,
     DefiningGraph,
     PRESETS,
+    ResourceCapError,
     all_cliques,
     ball_census,
     build_ball,
@@ -56,12 +60,14 @@ from oracles import (
     complete_graph,
     filtered_invariant_cubes,
     greedy_canonical_cube,
+    histogram_stats,
     left_descents,
     multiply_walk,
     profile_of,
     random_graph,
     reference_export,
     reference_flag_check,
+    state_census,
     two_phase_multiply,
     two_phase_normal_form,
     walked_profile,
@@ -259,6 +265,52 @@ def test_closed_form_profile_on_presets_and_complete_graphs():
 def test_displacement_closed_form_at_large_radii():
     for name, radius in (("pentagon", 12), ("grid", 20), ("dinfty", 400)):
         assert_closed_form_displacement(preset(name), radius)
+
+
+def assert_matches_state_census(graph, radius, data=None):
+    """The census, the profile and, for a vertex cap drawn from ``data``,
+    the radius the cap stops at agree with ``state_census``, which counts
+    the ball by automaton state and shares neither the growth series nor
+    the clique counts with them."""
+    states = state_census(graph, radius)
+    total = sum(states.sphere_sizes)
+    census = ball_census(graph, radius, max_vertices=total)
+    assert census.vertex_count == total
+    assert census.cells_by_dimension == states.cells_by_dimension
+    profile = displacement_profile(build_involution(graph), census)
+    assert profile == profile_of([histogram_stats(h) for h in states.displacements])
+    if data is None:
+        return
+    cap = data.draw(st.integers(1, total))
+    if cap == total:
+        return
+    fits = [r for r, size in enumerate(accumulate(states.sphere_sizes)) if size <= cap]
+    with pytest.raises(ResourceCapError) as caught:
+        ball_census(graph, radius, max_vertices=cap)
+    assert caught.value.radius_reached == fits[-1]
+
+
+# An example takes up to half a second, and shrinking a failure, drawn cap
+# included, could run for minutes; the first failing example is reported
+# as drawn.
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
+@given(graphs(), st.integers(0, 40), st.data())
+def test_census_and_profile_match_state_census(graph, radius, data):
+    """At radii up to 40 on graphs of up to 8 generators, far past any
+    enumerated ball, with a vertex cap drawn below the ball's size."""
+    assert_matches_state_census(graph, radius, data)
+
+
+@pytest.mark.parametrize(
+    "name, radius", (("pentagon", 40), ("grid", 40), ("square", 40), ("dinfty", 400))
+)
+def test_state_census_on_presets_at_large_radii(name, radius):
+    assert_matches_state_census(preset(name), radius)
 
 
 # Label characters: DOT and JSON specials, control characters, non-ASCII
