@@ -24,6 +24,7 @@ so a run that would exceed it stops before it allocates anything.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from itertools import count, islice
 from json.encoder import encode_basestring_ascii
 from math import comb
@@ -109,15 +110,6 @@ class Ball:
         self.vertices = vertices
         self.cubes = cubes
         self.reliable_radius = reliable_radius
-        # Offsets of each nonempty sphere inside the shortlex-sorted vertex
-        # list; the last vertex is a longest one.
-        depth = len(vertices[-1])
-        offsets = [0] * (depth + 2)
-        for w in vertices:
-            offsets[len(w) + 1] += 1
-        for r in range(1, depth + 2):
-            offsets[r] += offsets[r - 1]
-        self._offsets = offsets
         dimensions = range(max((len(axis) for _, axis in cubes), default=0) + 1)
         self._number = number = {w: i for i, w in enumerate(vertices)}
         self._groups = groups = [[[] for _ in dimensions] for _ in vertices]
@@ -310,10 +302,10 @@ def sphere(ball: Ball, r: int) -> tuple[Word, ...]:
     """Vertices at distance exactly r, in shortlex order."""
     if not 0 <= r <= ball.radius:
         raise ValueError(f"sphere radius {r} out of range 0..{ball.radius}")
-    offsets = ball._offsets
-    if r + 1 >= len(offsets):
-        return ()
-    return ball.vertices[offsets[r] : offsets[r + 1]]
+    # Shortlex order sorts by length first, so each sphere is a slice.
+    vertices = ball.vertices
+    start = bisect_left(vertices, r, key=len)
+    return vertices[start : bisect_left(vertices, r + 1, key=len)]
 
 
 def canonical_cube(g: Word, axis, graph: DefiningGraph) -> Cube:
@@ -380,22 +372,22 @@ def links_flag_check(ball: Ball) -> FlagCheckReport:
     be stored too; the first missing cube is reported as a violation, with
     ``vertices_checked`` counted up to and including its vertex.
 
-    The reliable vertices are a prefix of the shortlex order.  At each one
-    the stored squares become one neighbour bitmask per generator.  Three
-    such edges form a triangle: a square whose two generators share a
-    neighbour.  A vertex without one is passed over; otherwise the cliques
-    of those masks are listed with the stored edges as the root set, and
-    the ones of three or more generators are tested, in size-then-
-    lexicographic order.  A square missing one of its edges, possible only
-    in a hand-built ``Ball``, has a generator outside the root, joins no
-    two edges and is ignored.
+    The reliable vertices are a prefix of the shortlex order, which sorts
+    by length first.  At each one the stored squares become one neighbour
+    bitmask per generator.  Three such edges form a triangle: a square
+    whose two generators share a neighbour.  A vertex without one is passed
+    over; otherwise the cliques of those masks are listed with the stored
+    edges as the root set, and the ones of three or more generators are
+    tested, in size-then-lexicographic order, against the axes of the
+    cubes filed at the vertex.  The cell through v on a clique T is the
+    coset v*W_T, so it is stored exactly when some stored cube through v
+    has axis T; neither ``canonical_cube`` nor ``has_cube`` is called.  A
+    square missing one of its edges, possible only in a hand-built
+    ``Ball``, has a generator outside the root, joins no two edges and is
+    ignored.
     """
-    graph = ball.graph
-    n = graph.n
-    offsets = ball._offsets
-    # offsets[r + 1] vertices have length at most r, for r from -1 up to
-    # the longest length; a larger reliable radius covers the whole ball.
-    end = offsets[max(0, min(ball.reliable_radius + 1, len(offsets) - 1))]
+    n = ball.graph.n
+    end = bisect_right(ball.vertices, ball.reliable_radius, key=len)
     for checked, (v, groups) in enumerate(zip(ball.vertices[:end], ball._groups), 1):
         if len(groups) < 3:
             continue
@@ -410,9 +402,10 @@ def links_flag_check(ball: Ball) -> FlagCheckReport:
         edges = 0
         for _, (g,) in groups[1]:
             edges |= 1 << g
+        axes = {axis for cubes in groups[3:] for _, axis in cubes}
         for level in islice(_clique_levels(n, masks, edges), 3, None):
             for axis, _ in level:
-                if not ball.has_cube(canonical_cube(v, axis, graph)):
+                if axis not in axes:
                     return FlagCheckReport(False, (FlagViolation(v, axis),), checked)
     return FlagCheckReport(True, (), end)
 

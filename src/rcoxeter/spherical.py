@@ -151,7 +151,7 @@ class SphericalPoset(_Frozen):
         return iter(self.elements)
 
     def __contains__(self, subset) -> bool:
-        return tuple(subset) in set(self.elements)
+        return tuple(subset) in self.elements
 
     @staticmethod
     def leq(a: Clique, b: Clique) -> bool:

@@ -620,6 +620,54 @@ class TestFlagCondition:
         assert report == (True, (), 199)
 
 
+def _k4_with_pendant() -> DefiningGraph:
+    """K4 on x0..x3 with a fifth generator x4 commuting with x3 only."""
+    labels = tuple(f"x{i}" for i in range(5))
+    edges = [(a, b) for i, a in enumerate(labels[:4]) for b in labels[i + 1 : 4]]
+    return DefiningGraph.from_edges(labels, edges + [("x3", "x4")])
+
+
+class TestFlagCheckReadsTheBall:
+    """``links_flag_check`` tests each clique against the axes of the cubes
+    filed at the vertex: it neither canonicalizes a cube nor looks one up."""
+
+    @staticmethod
+    def refuse_lookups(monkeypatch):
+        import rcoxeter.davis as davis_module
+
+        def refuse(*args):
+            raise AssertionError("the flag check looked a cube up")
+
+        monkeypatch.setattr(davis_module, "canonical_cube", refuse)
+        monkeypatch.setattr(Ball, "has_cube", refuse)
+
+    @pytest.mark.parametrize(
+        "graph, radius", [(complete_graph(4), 8), (_k4_with_pendant(), 9)],
+        ids=["K4-r8", "K4-pendant-r9"],
+    )
+    def test_passing_balls(self, monkeypatch, graph, radius):
+        ball = build_ball(graph, radius)
+        expected = reference_flag_check(ball)
+        assert expected.ok
+        reliable = [v for v in ball.vertices if len(v) <= ball.reliable_radius]
+        # A 3-cube, and so a triangle of squares, at every reliable vertex.
+        assert all(3 in cubes_at_vertex(ball, v) for v in reliable)
+        self.refuse_lookups(monkeypatch)
+        assert links_flag_check(ball) == expected
+
+    @pytest.mark.parametrize("which", range(8))
+    def test_missing_three_cube(self, monkeypatch, which):
+        full = build_ball(complete_graph(4), 8)
+        missing = [cube for cube in full.cubes if cube.dimension == 3][which]
+        cubes = tuple(cube for cube in full.cubes if cube != missing)
+        ball = Ball(full.graph, full.radius, full.vertices, cubes, full.reliable_radius)
+        expected = reference_flag_check(ball)
+        self.refuse_lookups(monkeypatch)
+        report = links_flag_check(ball)
+        assert report == expected
+        assert report.violations == (FlagViolation(missing.base, missing.axis),)
+
+
 class TestExport:
     def test_json_square(self):
         ball = build_ball(SQUARE, 2)

@@ -56,6 +56,14 @@ class TestPoset:
         assert len(poset) == 11
         assert set(poset.elements) == brute_force_cliques(PENTAGON)
 
+    def test_membership(self):
+        poset = spherical_poset(PENTAGON)
+        assert (0, 1) in poset
+        assert [0, 1] in poset
+        assert () in poset
+        assert (1, 0) not in poset  # unsorted
+        assert (0, 2) not in poset  # not a clique
+
     def test_matches_brute_force_on_presets_and_random_graphs(self):
         rng = random.Random(23)
         graphs = list(ALL_PRESETS) + [random_graph(rng) for _ in range(25)]
