@@ -93,8 +93,15 @@ class Ball:
     clique that misses the base's descents.  Each ascent edge is multiplied
     once and kept in an ascent table by vertex number and generator, so the
     index costs one ``multiply`` per edge of the ball and the edges can be
-    read back without one.  ``has_cube`` reads the index at the cube's
-    base, where a stored cube is always filed.
+    read back without one.
+
+    The first read of a vertex freezes its lists into one dict from each
+    dimension present to a tuple, which replaces the lists in the same
+    slot; every later read returns those tuples as they are.
+    ``cubes_at_vertex``, ``has_cube`` and ``links_flag_check`` all read
+    through it.  ``has_cube`` looks at the cube's base, where a stored cube
+    is always filed, and bisects the group there, which is in ``cubes``
+    order.
     """
 
     def __init__(
@@ -112,7 +119,9 @@ class Ball:
         self.reliable_radius = reliable_radius
         dimensions = range(max((len(axis) for _, axis in cubes), default=0) + 1)
         self._number = number = {w: i for i, w in enumerate(vertices)}
-        self._groups = groups = [[[] for _ in dimensions] for _ in vertices]
+        # cells[i]: the cubes through vertex i, one list per dimension
+        # until the first read, then the frozen dict ``_cells_at`` made.
+        self._cells = cells = [[[] for _ in dimensions] for _ in vertices]
         # up[i * n + g] is the number of vertex i times g, or -1 where no
         # stored cube has that edge.
         n = graph.n
@@ -128,7 +137,16 @@ class Ball:
                     corners.append(j)
             d = len(axis)
             for i in corners:
-                groups[i][d].append(cube)
+                cells[i][d].append(cube)
+
+    def _cells_at(self, i: int) -> dict[int, tuple[Cube, ...]]:
+        """The cubes through vertex number i, by dimension in ascending
+        order, each group in ``cubes`` order; no group is empty.  The
+        caller must not change the dict."""
+        cells = self._cells[i]
+        if type(cells) is list:
+            cells = self._cells[i] = {d: tuple(cs) for d, cs in enumerate(cells) if cs}
+        return cells
 
     def __contains__(self, vertex: Word) -> bool:
         return vertex in self._number
@@ -136,8 +154,11 @@ class Ball:
     def has_cube(self, cube: Cube) -> bool:
         base, axis = cube
         i = self._number.get(base)
-        groups = () if i is None else self._groups[i]
-        return len(axis) < len(groups) and cube in groups[len(axis)]
+        if i is None:
+            return False
+        group = self._cells_at(i).get(len(axis), ())
+        j = bisect_left(group, (len(base), cube), key=_cube_key)
+        return j < len(group) and group[j] == cube
 
     def cell_counts(self) -> tuple[int, ...]:
         """Number of stored cubes per dimension."""
@@ -146,6 +167,11 @@ class Ball:
         for cube in self.cubes:
             counts[cube.dimension] += 1
         return tuple(counts)
+
+
+def _cube_key(cube) -> tuple:
+    """The sort key of ``Ball.cubes``: base length, then base, then axis."""
+    return len(cube[0]), cube
 
 
 class BallCensus(NamedTuple):
@@ -315,27 +341,29 @@ def canonical_cube(g: Word, axis, graph: DefiningGraph) -> Cube:
     the axis removed.  A letter t is a descent of g when the scan from the
     right over the letters commuting with t stops at t itself, and deleting
     that occurrence leaves a normal form, since every letter after it
-    commutes with t.  One pass over the axis is enough: the axis is a
-    clique, so a deleted descent d commutes with every other axis letter
-    and its deletion changes no other letter's descent status.  The result
-    is the minimal element of the coset, so re-canonicalizing is a no-op.
+    commutes with t.  One scan from the right serves every axis letter at
+    once: a bitmask holds the axis letters all of whose scans are still
+    open, each letter met closes those it does not commute with, and a
+    letter met while still open is deleted.  The axis is a clique, so a
+    deleted descent commutes with every other axis letter and changes no
+    other letter's descent status.  The result is the minimal element of
+    the coset, so re-canonicalizing is a no-op.
     """
     axis = tuple(sorted(set(axis)))
     bits = _mask_of(axis, graph.n)
     masks = graph.neighbor_masks
-    base = g
     for t in axis:
-        tmask = masks[t]
-        if bits & ~tmask != 1 << t:
+        if bits & ~masks[t] != 1 << t:
             raise ValueError(f"axis {axis!r} is not a clique of the defining graph")
-        i = len(base)
-        while i:
-            i -= 1
-            letter = base[i]
-            if not tmask >> letter & 1:
-                if letter == t:
-                    base = base[:i] + base[i + 1 :]
-                break
+    base = g
+    pending = bits
+    i = len(base)
+    while pending and i:
+        i -= 1
+        letter = base[i]
+        if pending >> letter & 1:
+            base = base[:i] + base[i + 1 :]
+        pending &= masks[letter]
     return Cube(base, axis)
 
 
@@ -345,7 +373,7 @@ def cubes_at_vertex(ball: Ball, v: Word) -> dict[int, tuple[Cube, ...]]:
     i = ball._number.get(v)
     if i is None:
         raise ValueError(f"vertex {v!r} is not in the ball")
-    return {d: tuple(cs) for d, cs in enumerate(ball._groups[i]) if cs}
+    return dict(ball._cells_at(i))
 
 
 class FlagViolation(NamedTuple):
@@ -388,25 +416,27 @@ def links_flag_check(ball: Ball) -> FlagCheckReport:
     """
     n = ball.graph.n
     end = bisect_right(ball.vertices, ball.reliable_radius, key=len)
-    for checked, (v, groups) in enumerate(zip(ball.vertices[:end], ball._groups), 1):
-        if len(groups) < 3:
+    for i, v in enumerate(ball.vertices[:end]):
+        cells = ball._cells_at(i)
+        squares = cells.get(2)
+        if not squares:
             continue
         masks = [0] * n
         triangle = 0
-        for _, (s, t) in groups[2]:
+        for _, (s, t) in squares:
             triangle |= masks[s] & masks[t]
             masks[s] |= 1 << t
             masks[t] |= 1 << s
         if not triangle:
             continue
         edges = 0
-        for _, (g,) in groups[1]:
+        for _, (g,) in cells.get(1, ()):
             edges |= 1 << g
-        axes = {axis for cubes in groups[3:] for _, axis in cubes}
+        axes = {axis for d, cubes in cells.items() if d > 2 for _, axis in cubes}
         for level in islice(_clique_levels(n, masks, edges), 3, None):
             for axis, _ in level:
                 if axis not in axes:
-                    return FlagCheckReport(False, (FlagViolation(v, axis),), checked)
+                    return FlagCheckReport(False, (FlagViolation(v, axis),), i + 1)
     return FlagCheckReport(True, (), end)
 
 

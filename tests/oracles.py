@@ -27,7 +27,9 @@ the number of words it stands for, and so counts the spheres, cubes and
 displacements of balls far too large to enumerate, without the growth
 series or the library's clique counts.  Canonical cubes are recomputed by
 greedy right multiplication, where the library deletes descents in one
-pass.  Exports are re-serialized the way the library did before it built
+pass; ``per_letter_canonical_cube`` keeps the library's former scan, one
+per axis letter, where the library now makes one scan for all of them.
+Exports are re-serialized the way the library did before it built
 each vertex text from its parent's: one ``json.dumps`` of the whole
 payload and one label join per word.  The flag condition is rechecked
 the way the library did before it read square bitmasks, with every
@@ -75,7 +77,7 @@ from rcoxeter import (
     word_to_text,
 )
 from rcoxeter.davis import _growth_columns, _lex_cliques
-from rcoxeter.spherical import _clique_counts
+from rcoxeter.spherical import _clique_counts, _mask_of
 
 
 def determinant(matrix: Matrix) -> int:
@@ -139,6 +141,31 @@ def greedy_canonical_cube(g: Word, axis, graph: DefiningGraph) -> Cube:
             if len(shorter) < len(base):
                 base = shorter
                 shrinking = True
+    return Cube(base, axis)
+
+
+def per_letter_canonical_cube(g: Word, axis, graph: DefiningGraph) -> Cube:
+    """``canonical_cube`` the way the library did it before its one pass
+    from the right: each axis letter in turn is checked to be a clique
+    member, then the base is scanned from the right over the letters
+    commuting with it, and the occurrence the scan stops at is deleted when
+    it is that letter."""
+    axis = tuple(sorted(set(axis)))
+    bits = _mask_of(axis, graph.n)
+    masks = graph.neighbor_masks
+    base = g
+    for t in axis:
+        tmask = masks[t]
+        if bits & ~tmask != 1 << t:
+            raise ValueError(f"axis {axis!r} is not a clique of the defining graph")
+        i = len(base)
+        while i:
+            i -= 1
+            letter = base[i]
+            if not tmask >> letter & 1:
+                if letter == t:
+                    base = base[:i] + base[i + 1 :]
+                break
     return Cube(base, axis)
 
 

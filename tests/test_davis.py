@@ -35,6 +35,7 @@ from oracles import (
     bfs_ball,
     complete_graph,
     cube_sort_key,
+    cubes_through,
     cube_vertices,
     greedy_canonical_cube,
     matrix_ball_sphere_sizes,
@@ -409,7 +410,7 @@ CUBES_CLI_DIGESTS = {
 class TestCubesAtVertexContract:
     """The shape ``rcoxeter cubes`` prints from: ascending dimensions, no
     empty group, each group in ``ball.cubes`` order, and a fresh dict per
-    read."""
+    read over the groups frozen at the first one."""
 
     @pytest.mark.parametrize(
         "graph",
@@ -427,7 +428,12 @@ class TestCubesAtVertexContract:
                 assert all(cube.dimension == dim for cube in cubes)
                 places = [position[cube] for cube in cubes]
                 assert places == sorted(places)
+            # A second read shares the frozen groups in a dict of its own.
+            again = cubes_at_vertex(ball, v)
+            assert again == grouped and again is not grouped
+            assert all(again[dim] is cubes for dim, cubes in grouped.items())
             expected = dict(grouped)
+            del again[max(again)]
             grouped.clear()
             grouped[99] = ()
             assert cubes_at_vertex(ball, v) == expected
@@ -516,6 +522,28 @@ class TestHasCube:
             for axis in ((), (0,), tuple(range(graph.n))):
                 assert not ball.has_cube(Cube(w, axis))
 
+    @pytest.mark.parametrize(
+        "graph, radius", [(complete_graph(8), 8), (PENTAGON, 6)], ids=["K8-r8", "pentagon-r6"]
+    )
+    def test_long_groups_and_moved_bases(self, graph, radius):
+        # Bisection of the group filed at the base, on balls with long groups
+        # (K8) and with many bases (pentagon).
+        ball = build_ball(graph, radius)
+        stored = set(ball.cubes)
+        answers = set()
+        for base, axis in ball.cubes:
+            assert ball.has_cube(Cube(base, axis))
+            assert ball.has_cube((base, axis))
+            # Moved by an axis letter the base is no longer canonical; moved
+            # by any other generator it may be the base of another cube.
+            for g in range(graph.n):
+                moved = multiply(base, (g,), graph)
+                answer = ball.has_cube(Cube(moved, axis))
+                assert answer == ((moved, axis) in stored)
+                assert answer == ball.has_cube((moved, axis))
+                answers.add((g in axis, answer))
+        assert answers >= {(True, False), (False, True)}
+
     def test_axis_above_the_top_dimension(self):
         ball = build_ball(PENTAGON, 5)
         assert len(ball.cell_counts()) == 3
@@ -528,6 +556,56 @@ class TestHasCube:
         ball = Ball(full.graph, full.radius, full.vertices, kept, full.reliable_radius)
         assert not ball.has_cube(missing)
         assert all(ball.has_cube(c) for c in kept)
+
+
+def _balls_missing_one_cube(graph, radius):
+    """The ball, and hand-built copies each missing one cube of a dimension
+    from 1 up: the first and the last stored cube of that dimension."""
+    full = build_ball(graph, radius)
+    balls = [full]
+    for d in range(1, len(full.cell_counts())):
+        of_d = [cube for cube in full.cubes if cube.dimension == d]
+        for missing in {of_d[0], of_d[-1]}:
+            cubes = tuple(cube for cube in full.cubes if cube != missing)
+            balls.append(Ball(graph, radius, full.vertices, cubes, full.reliable_radius))
+    return balls
+
+
+class TestReadOrder:
+    """Whichever reader freezes a vertex first, the flag check, the cube
+    lists and the cube lookups give the oracles' answers."""
+
+    @staticmethod
+    def copy(ball):
+        return Ball(ball.graph, ball.radius, ball.vertices, ball.cubes, ball.reliable_radius)
+
+    @staticmethod
+    def read(ball):
+        assert all(ball.has_cube(cube) for cube in ball.cubes)
+        return [cubes_at_vertex(ball, v) for v in ball.vertices]
+
+    @pytest.mark.parametrize(
+        "graph, radius, outcomes",
+        [(complete_graph(4), 8, {True, False}), (PENTAGON, 4, {True})],
+        ids=["K4-r8", "pentagon-r4"],
+    )
+    def test_flag_check_before_and_after_the_reads(self, graph, radius, outcomes):
+        # Without a 3-cube K4 fails the check; pentagon has no triangle.
+        seen = set()
+        for ball in _balls_missing_one_cube(graph, radius):
+            expected = reference_flag_check(self.copy(ball))
+            seen.add(expected.ok)
+            first = self.copy(ball)
+            flag_first = links_flag_check(first)
+            grouped_after = self.read(first)
+            last = self.copy(ball)
+            grouped_before = self.read(last)
+            flag_last = links_flag_check(last)
+            assert flag_first == flag_last == expected
+            assert grouped_after == grouped_before
+            for v, grouped in zip(ball.vertices, grouped_after):
+                assert grouped == cubes_through(ball, v)
+        assert seen == outcomes
 
 
 class TestIndexWalksEachEdgeOnce:

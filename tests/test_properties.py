@@ -6,12 +6,15 @@ Graphs have up to 8 generators and words up to 40 letters.  The two-phase
 algorithm in ``oracles`` and the reflection matrices share no code with
 ``rcoxeter.words``; the breadth-first ball in ``oracles`` shares none with
 ``rcoxeter.davis.build_ball``, and the greedy canonical cube none with
-``rcoxeter.davis.canonical_cube``.  The export is checked byte for byte
+``rcoxeter.davis.canonical_cube``, which must also agree with its former
+per-letter scan, errors included.  The export is checked byte for byte
 against the one-``json.dumps`` serializer in ``oracles``, on whole balls
 and on balls missing one cube, the fixed loci and the profile, read off a
 census and off a ball, against the references that walk an enumerated
 ball, and the bitmask flag check against the subset-by-subset reference,
-on whole balls and on balls missing one cube.
+on whole balls and on balls missing one cube.  The flag check, the cube
+lists and the cube lookups must give the oracles' answers in any drawn
+order, since whichever reads a vertex first freezes its cube groups.
 The left-descent lemma is checked vertex by vertex; the invariant cubes
 found in the clique's subgroup against the walk that multiplies out every
 conjugate, and the profile read off the growth series against that walk,
@@ -31,6 +34,7 @@ from hypothesis import strategies as st
 
 from rcoxeter import (
     Ball,
+    Cube,
     DefiningGraph,
     PRESETS,
     ResourceCapError,
@@ -40,6 +44,7 @@ from rcoxeter import (
     build_involution,
     canonical_cube,
     conjugate,
+    cubes_at_vertex,
     displacement_profile,
     export_complex,
     fixed_loci,
@@ -58,11 +63,13 @@ from oracles import (
     bitmask_walk,
     closed_form_spheres,
     complete_graph,
+    cubes_through,
     filtered_invariant_cubes,
     greedy_canonical_cube,
     histogram_stats,
     left_descents,
     multiply_walk,
+    per_letter_canonical_cube,
     profile_of,
     random_graph,
     reference_export,
@@ -147,6 +154,24 @@ def test_canonical_cube_matches_greedy_oracle(case):
         assert S is not None and set(S) <= set(T)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graph_and_word(), st.data())
+def test_canonical_cube_matches_per_letter_scan(case, data):
+    # Any list of generators as the axis: a repeated letter, a non-clique
+    # or the empty axis must give the former scan's cube or its error.
+    graph, word = case
+    g = normal_form(word, graph)
+    axis = data.draw(st.lists(st.integers(0, graph.n - 1), max_size=graph.n + 1))
+    try:
+        expected = per_letter_canonical_cube(g, axis, graph)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            canonical_cube(g, axis, graph)
+        assert str(raised.value) == str(error)
+    else:
+        assert canonical_cube(g, axis, graph) == expected
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(graphs(), st.integers(0, 5))
 def test_build_ball_matches_bfs_oracle(graph, radius):
@@ -159,7 +184,9 @@ def assert_closed_form_displacement(graph, radius):
     has exactly one fixed locus there."""
     k = len(maximum_spherical(graph))
     inv = build_involution(graph)
-    census = ball_census(graph, radius)
+    # The census enumerates nothing, so the default vertex cap is lifted:
+    # six generators with one edge pass it at radius 9.
+    census = ball_census(graph, radius, max_vertices=10**30)
     profile = displacement_profile(inv, census)
     assert profile.radii == tuple(range(radius - k + 1))
     assert profile.mins == tuple(max(k, 2 * r - k) for r in profile.radii)
@@ -363,6 +390,8 @@ def test_export_matches_reference(graph, radius, data):
 
 
 def without(ball, cube):
+    """A new ``Ball`` on the same cubes but ``cube``; a fresh copy for
+    ``None``."""
     cubes = tuple(c for c in ball.cubes if c != cube)
     return Ball(ball.graph, ball.radius, ball.vertices, cubes, ball.reliable_radius)
 
@@ -382,6 +411,47 @@ def test_flag_check_matches_reference(graph, extra, data):
         if cells:
             damaged = without(ball, cells[data.draw(st.integers(0, len(cells) - 1))])
             assert links_flag_check(damaged) == reference_flag_check(damaged)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graphs(max_generators=6), st.integers(-1, 3), st.data())
+def test_answers_do_not_depend_on_read_order(graph, extra, data):
+    # A ball freezes each vertex's cube lists on the first read, whichever
+    # reader makes it.  A drawn sequence of ``cubes_at_vertex`` and
+    # ``has_cube`` reads with the flag check at a drawn place must give the
+    # oracles' answers, on the whole ball or on one missing a drawn cube.
+    radius = max(0, len(maximum_spherical(graph)) + extra)
+    ball = build_ball(graph, radius)
+    cells = [cube for cube in ball.cubes if cube.dimension >= 1]
+    if cells and data.draw(st.booleans()):
+        ball = without(ball, cells[data.draw(st.integers(0, len(cells) - 1))])
+    stored = set(ball.cubes)
+    flag = reference_flag_check(without(ball, None))
+    reads = data.draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("at"), st.integers(0, len(ball.vertices) - 1)),
+            # A stored cube, or the same axis on its base times a generator.
+            st.tuples(
+                st.just("has"),
+                st.integers(0, len(ball.cubes) - 1),
+                st.none() | st.integers(0, graph.n - 1),
+            ),
+        ),
+        max_size=12,
+    ))
+    reads.insert(data.draw(st.integers(0, len(reads))), ("flag",))
+    reader = without(ball, None)
+    for kind, *where in reads:
+        if kind == "flag":
+            assert links_flag_check(reader) == flag
+        elif kind == "at":
+            v = ball.vertices[where[0]]
+            assert cubes_at_vertex(reader, v) == cubes_through(ball, v)
+        else:
+            base, axis = ball.cubes[where[0]]
+            if where[1] is not None:
+                base = multiply(base, (where[1],), graph)
+            assert reader.has_cube(Cube(base, axis)) == ((base, axis) in stored)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
