@@ -100,8 +100,7 @@ class Ball:
     slot; every later read returns those tuples as they are.
     ``cubes_at_vertex``, ``has_cube`` and ``links_flag_check`` all read
     through it.  ``has_cube`` looks at the cube's base, where a stored cube
-    is always filed, and bisects the group there, which is in ``cubes``
-    order.
+    is always filed.
     """
 
     def __init__(
@@ -117,7 +116,8 @@ class Ball:
         self.vertices = vertices
         self.cubes = cubes
         self.reliable_radius = reliable_radius
-        dimensions = range(max((len(axis) for _, axis in cubes), default=0) + 1)
+        self._top = top = max((len(axis) for _, axis in cubes), default=0)
+        dimensions = range(top + 1)
         self._number = number = {w: i for i, w in enumerate(vertices)}
         # cells[i]: the cubes through vertex i, one list per dimension
         # until the first read, then the frozen dict ``_cells_at`` made.
@@ -154,24 +154,14 @@ class Ball:
     def has_cube(self, cube: Cube) -> bool:
         base, axis = cube
         i = self._number.get(base)
-        if i is None:
-            return False
-        group = self._cells_at(i).get(len(axis), ())
-        j = bisect_left(group, (len(base), cube), key=_cube_key)
-        return j < len(group) and group[j] == cube
+        return i is not None and cube in self._cells_at(i).get(len(axis), ())
 
     def cell_counts(self) -> tuple[int, ...]:
         """Number of stored cubes per dimension."""
-        top = max((c.dimension for c in self.cubes), default=0)
-        counts = [0] * (top + 1)
+        counts = [0] * (self._top + 1)
         for cube in self.cubes:
             counts[cube.dimension] += 1
         return tuple(counts)
-
-
-def _cube_key(cube) -> tuple:
-    """The sort key of ``Ball.cubes``: base length, then base, then axis."""
-    return len(cube[0]), cube
 
 
 class BallCensus(NamedTuple):
@@ -416,6 +406,8 @@ def links_flag_check(ball: Ball) -> FlagCheckReport:
     """
     n = ball.graph.n
     end = bisect_right(ball.vertices, ball.reliable_radius, key=len)
+    if ball._top < 2:  # without a square no vertex has a triangle
+        return FlagCheckReport(True, (), end)
     for i, v in enumerate(ball.vertices[:end]):
         cells = ball._cells_at(i)
         squares = cells.get(2)

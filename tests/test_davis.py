@@ -526,14 +526,15 @@ class TestHasCube:
         "graph, radius", [(complete_graph(8), 8), (PENTAGON, 6)], ids=["K8-r8", "pentagon-r6"]
     )
     def test_long_groups_and_moved_bases(self, graph, radius):
-        # Bisection of the group filed at the base, on balls with long groups
-        # (K8) and with many bases (pentagon).
+        # Balls with long groups (K8) and with many bases (pentagon).  An
+        # axis given as a list equals no stored axis: the answer is False.
         ball = build_ball(graph, radius)
         stored = set(ball.cubes)
         answers = set()
         for base, axis in ball.cubes:
             assert ball.has_cube(Cube(base, axis))
             assert ball.has_cube((base, axis))
+            assert not ball.has_cube(Cube(base, list(axis)))
             # Moved by an axis letter the base is no longer canonical; moved
             # by any other generator it may be the base of another cube.
             for g in range(graph.n):
