@@ -156,12 +156,7 @@ def _run(args) -> tuple[str | Iterator[str], int]:
         return _word_out(product, graph) + "\n", 0
     if args.command == "order":
         word = parse_word(" ".join(args.word), graph)
-        if not word:
-            order = "1"
-        elif has_order_two(word, graph):
-            order = "2"
-        else:
-            order = "infinity"
+        order = "1" if not word else "2" if has_order_two(word, graph) else "infinity"
         return order + "\n", 0
     if args.command == "cliques":
         from .spherical import _clique_counts
@@ -183,21 +178,23 @@ def _run(args) -> tuple[str | Iterator[str], int]:
         return _dump_json([graph.labels[g] for g in maximum_spherical(graph)]), 0
     from .davis import ball_census, build_ball, cubes_at_vertex
     from .involution import build_involution, fixed_loci
-    from .probe import certify, displacement_profile
+    from .probe import _census_profile, certify
 
     if args.command == "gamma":
         return format_report(build_involution(graph), args.format), 0
     if args.command == "certify":
         certificate = certify(graph, args.radius, max_vertices=args.max_vertices)
         return format_report(certificate, args.format), 0 if certificate.verdict else 2
-    if args.command in ("ball", "fixed", "profile"):
+    if args.command == "profile":
+        _, profile = _census_profile(
+            build_involution(graph), graph, args.radius, args.max_vertices
+        )
+        return format_report(profile, args.format), 0
+    if args.command in ("ball", "fixed"):
         census = ball_census(graph, args.radius, max_vertices=args.max_vertices)
         if args.command == "ball":
             return format_report(census, args.format), 0
-        inv = build_involution(graph)
-        if args.command == "fixed":
-            return format_report(fixed_loci(inv, census), args.format), 0
-        return format_report(displacement_profile(inv, census), args.format), 0
+        return format_report(fixed_loci(build_involution(graph), census), args.format), 0
     ball = build_ball(graph, args.radius, max_vertices=args.max_vertices)
     if args.command == "cubes":
         vertex = parse_word(" ".join(args.word), graph)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from collections import deque
 from itertools import count, islice
 from json.encoder import encode_basestring_ascii
 from math import comb
@@ -187,15 +188,6 @@ class BallCensus(NamedTuple):
         }
 
 
-def _lex_cliques(graph: DefiningGraph, radius: int) -> list[tuple[Clique, int]]:
-    """The cliques of at most ``radius`` generators with their bitmasks, in
-    lexicographic order; a larger clique fits no cube of a ball of that
-    radius."""
-    sizes = min(radius, graph.n) + 1
-    levels = islice(_clique_levels(graph.n, graph.neighbor_masks), sizes)
-    return sorted((c, sum(1 << t for t in c)) for level in levels for c, _ in level)
-
-
 def _growth_columns(by_size: list[int]) -> Iterator[list[int]]:
     """Yield, for l = 0, 1, 2, ..., the coefficients [t^l] (1+t)^j / P(t)
     for j = 0..k, where ``by_size[d]`` counts the d-cliques.
@@ -212,16 +204,17 @@ def _growth_columns(by_size: list[int]) -> Iterator[list[int]]:
         sum((-1) ** d * c * comb(k - d, i - d) for d, c in enumerate(by_size[: i + 1]))
         for i in range(1, k + 1)
     ]
-    recent = [0] * k  # [t^(l-1)], ..., [t^(l-k)] of 1/P(t)
+    recent = deque([0] * k, k)  # [t^l], ..., [t^(l-k+1)] of 1/P(t)
     column = [0] * (k + 1)
-    for l in count():
-        q = int(l == 0) - sum(map(mul, p, recent))
-        recent = [q] + recent[:-1]
+    q = 1
+    while True:
+        recent.appendleft(q)
         nxt = [q]
         for j in range(k):
             nxt.append(nxt[j] + column[j])
         column = nxt
         yield column
+        q = -sum(map(mul, p, recent))
 
 
 def ball_census(
@@ -233,11 +226,17 @@ def ball_census(
     vertices, with the largest radius that fits, before anything sized by
     the ball is allocated.
     """
+    return _census(graph, radius, max_vertices, len(maximum_spherical(graph)))
+
+
+def _census(
+    graph: DefiningGraph, radius: int, max_vertices: float, k: int, qs: list | None = None
+) -> BallCensus:
+    """``ball_census`` for a maximum clique of k generators.  A list ``qs``
+    also receives q_r = [t^r] 1/P(t), entry 0 of column r, for each nonempty
+    sphere r up to radius - k, so the profile needs no walk of its own."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if max_vertices < 1:
-        raise ResourceCapError(max_vertices, -1)
-    k = len(maximum_spherical(graph))
     # Only the cliques of at most ``radius`` generators are counted: a
     # larger one fits no cube and leaves the series unchanged up to
     # t^radius.  A clique T is also a vertex of length |T|, the product of
@@ -255,13 +254,15 @@ def ball_census(
     # sums[j]: the (k-j)-cubes per axis, i.e. the coset representatives of
     # length at most radius - (k-j), so that the whole cube fits.
     sums = [0] * (k + 1)
-    for r, column in enumerate(_growth_columns(by_size)):
-        # An empty sphere means a finite group: every later one is empty.
-        if r > radius or not column[k]:
+    # zip asks for no column past the radius, and a range takes any radius.
+    for r, column in zip(range(radius + 1), _growth_columns(by_size)):
+        if not column[k]:  # a finite group: every later sphere is empty
             break
         vertices += column[k]
         if vertices > max_vertices:
             raise ResourceCapError(max_vertices, r - 1)
+        if qs is not None and r <= radius - k:
+            qs.append(column[0])
         for j in range(max(k - radius + r, 0), k + 1):
             sums[j] += column[j]
     cells = tuple(c * s for c, s in zip(by_size, reversed(sums)))
@@ -285,7 +286,11 @@ def build_ball(
     then base, then axis.  Only the sphere being extended is held.
     """
     census = ball_census(graph, radius, max_vertices)
-    cliques = _lex_cliques(graph, radius)
+    # The cliques of at most ``radius`` generators, lexicographically, with
+    # their bitmasks; a larger one fits no cube of the ball.
+    sizes = min(radius, graph.n) + 1
+    levels = islice(_clique_levels(graph.n, graph.neighbor_masks), sizes)
+    cliques = sorted((c, sum(1 << t for t in c)) for level in levels for c, _ in level)
     masks = graph.neighbor_masks
     letters = [(x, 1 << x) for x in range(graph.n)]
     vertices: list[Word] = []

@@ -72,7 +72,10 @@ def build_involution(graph: DefiningGraph) -> Involution:
 
 
 def _support_mask(word: Word) -> int:
-    return sum(1 << g for g in set(word))
+    mask = 0
+    for g in word:
+        mask |= 1 << g
+    return mask
 
 
 def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...]:
@@ -164,16 +167,13 @@ def fixed_loci(inv: Involution, ball: Ball | BallCensus) -> FixedPointReport:
     for cube in invariant_cubes(inv, ball):
         t = conjugate(cube.base, inv.element, graph)
         flipped = tuple(sorted(support(t)))
-        flipped_set = set(flipped)
         loci.append(
             FixedLocus(
                 cube=cube,
                 translation=t,
                 flipped=flipped,
                 dimension=cube.dimension - len(flipped),
-                center=tuple(
-                    "midpoint" if g in flipped_set else "free" for g in cube.axis
-                ),
+                center=tuple("midpoint" if g in flipped else "free" for g in cube.axis),
             )
         )
     home = canonical_cube(IDENTITY, inv.clique, graph)

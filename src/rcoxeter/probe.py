@@ -59,24 +59,25 @@ involution squares to the identity, its fixed point in the examined ball
 is unique, the local action is antipodal, and min displacement never drops
 as the radius grows.  Complete defining graphs present finite groups whose
 boundary is empty, so they pass with an explanatory note.  It builds no
-ball and walks no sphere: the census enforces the vertex cap, the fixed
-loci come from the subsets of the clique, and the profile from the growth
-series up to the reliable radius.
+ball, walks no sphere and makes one walk of the growth series: one clique
+search gives k, one clique count the series, and one loop up to the
+radius enforces the vertex cap, counts the cells and hands the profile
+q_0, ..., q_(R-k).  The fixed loci come from the subsets of the clique.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from math import comb
-from operator import mul
+from collections import deque
+from math import comb, inf
+from operator import le, mul
 from typing import NamedTuple
 
 # build_ball, maximum_spherical and conjugate are not called here; they
 # stay names of this module because bench/tracing.py wraps them.
-from .davis import Ball, BallCensus, _growth_columns, ball_census, build_ball  # noqa: F401
+from .davis import Ball, BallCensus, _census, build_ball  # noqa: F401
 from .graphs import DefiningGraph
 from .involution import Involution, antipodal_check, build_involution, fixed_loci
-from .spherical import _clique_counts, maximum_spherical  # noqa: F401
+from .spherical import maximum_spherical  # noqa: F401
 from .words import conjugate, has_order_two, word_to_text  # noqa: F401
 
 
@@ -99,7 +100,7 @@ class DisplacementProfile(NamedTuple):
     @property
     def monotone(self) -> bool:
         """True when the per-sphere minimum never decreases."""
-        return all(a <= b for a, b in zip(self.mins, self.mins[1:]))
+        return all(map(le, self.mins, self.mins[1:]))
 
 
 def displacement_profile(
@@ -107,27 +108,36 @@ def displacement_profile(
 ) -> DisplacementProfile:
     """Tabulate displacement over each nonempty sphere up to the reliable
     radius, read off the growth series."""
+    return _census_profile(inv, ball.graph, max(ball.radius, 0), inf)[1]
+
+
+def _census_profile(
+    inv: Involution, graph: DefiningGraph, radius: int, max_vertices: float
+) -> tuple[BallCensus, DisplacementProfile]:
+    """``ball_census`` and the displacement profile in it, from one walk of
+    the growth series: the census hands over q_0, ..., q_(radius - k)."""
     k = inv.n
-    reliable = ball.radius - k
-    # The series up to t^reliable needs only the cliques of that size or less.
-    counts = _clique_counts(ball.graph.n, ball.graph.neighbor_masks)
-    by_size = list(islice(counts, max(0, min(reliable, k) + 1)))
-    by_size += [0] * (k + 1 - len(by_size))
+    qs: list[int] = []
+    census = _census(graph, radius, max_vertices, k, qs)
     # recent[m] is q_(r-m); each such u gives C(k, m) vertices c * u.
-    descents = [m * comb(k, m) for m in range(k + 1)]
-    recent = [0] * (k + 1)
+    sizes = [comb(k, m) for m in range(k + 1)]
+    descents = [m * size for m, size in enumerate(sizes)]
+    recent = deque([0] * (k + 1), k + 1)
     mins, maxs, means = [], [], []
-    for r, column in enumerate(_growth_columns(by_size)):
-        if r > reliable or not column[k]:
-            break
-        recent = [column[0]] + recent[:-1]
-        present = [m for m, q in enumerate(recent) if q]
+    for r, q in enumerate(qs):
+        recent.appendleft(q)
+        # The fewest and most left descents in C; the sphere is nonempty.
+        fewest, most = 0, k
+        while not recent[fewest]:
+            fewest += 1
+        while not recent[most]:
+            most -= 1
         far = 2 * r + k
-        mins.append(far - 2 * present[-1])
-        maxs.append(far - 2 * present[0])
-        moved = far * column[k] - 2 * sum(map(mul, descents, recent))
-        means.append(moved / column[k])
-    return DisplacementProfile(
+        count = sum(map(mul, sizes, recent))
+        mins.append(far - 2 * most)
+        maxs.append(far - 2 * fewest)
+        means.append((far * count - 2 * sum(map(mul, descents, recent))) / count)
+    return census, DisplacementProfile(
         tuple(range(len(mins))), tuple(mins), tuple(maxs), tuple(means)
     )
 
@@ -190,9 +200,8 @@ def certify(
             f"radius {radius} too small; need >= {inv.n + 1} "
             f"for a maximum clique of size {inv.n}"
         )
-    census = ball_census(graph, radius, max_vertices=max_vertices)
+    census, profile = _census_profile(inv, graph, radius, max_vertices)
     report = fixed_loci(inv, census)
-    profile = displacement_profile(inv, census)
     order_two = has_order_two(inv.element, graph)
     antipodal = antipodal_check(inv, graph)
     monotone = profile.monotone

@@ -38,14 +38,8 @@ def _bits(mask: int) -> Iterator[int]:
 
 def is_spherical(subset: Iterable[int], graph: DefiningGraph) -> bool:
     """True when the subset is a clique (the empty set vacuously is)."""
-    members = list(subset)
-    _mask_of(members, graph.n)
-    return all(
-        graph.adjacent(a, b)
-        for i, a in enumerate(members)
-        for b in members[i + 1 :]
-        if a != b
-    )
+    mask = _mask_of(subset, graph.n)
+    return all(mask & ~graph.neighbor_masks[g] == 1 << g for g in _bits(mask))
 
 
 def _clique_levels(
@@ -201,15 +195,9 @@ class ChamberComplex(NamedTuple):
 def chamber_complex(poset: SphericalPoset) -> ChamberComplex:
     """All chains of the poset, ordered by size then element rank."""
     elements = poset.elements
-    rank = {e: i for i, e in enumerate(elements)}
     # elements are sorted by size, so strict supersets always come later
-    successors: list[list[int]] = [
-        [
-            j
-            for j in range(i + 1, len(elements))
-            if len(elements[j]) > len(elements[i])
-            and set(elements[i]) < set(elements[j])
-        ]
+    successors = [
+        [j for j in range(i + 1, len(elements)) if set(elements[i]) < set(elements[j])]
         for i in range(len(elements))
     ]
     chains: list[tuple[int, ...]] = []

@@ -76,7 +76,7 @@ from rcoxeter import (
     support,
     word_to_text,
 )
-from rcoxeter.davis import _growth_columns, _lex_cliques
+from rcoxeter.davis import _growth_columns
 from rcoxeter.spherical import _clique_counts, _mask_of
 
 
@@ -220,6 +220,14 @@ def brute_force_cliques(graph: DefiningGraph) -> set[tuple[int, ...]]:
             if all(graph.adjacent(a, b) for a, b in itertools.combinations(subset, 2)):
                 out.add(subset)
     return out
+
+
+def lex_cliques(graph: DefiningGraph, radius: int) -> list[tuple[Clique, int]]:
+    """The cliques of at most ``radius`` generators with their bitmasks, in
+    lexicographic order, from ``brute_force_cliques``."""
+    return sorted(
+        (c, sum(1 << t for t in c)) for c in brute_force_cliques(graph) if len(c) <= radius
+    )
 
 
 def brute_force_maximum_clique(graph: DefiningGraph) -> tuple[int, ...]:
@@ -489,7 +497,7 @@ def multiply_walk(inv: Involution, ball) -> MultiplyWalk:
     conjugate from ``sphere_states``, its length for the statistics, and
     every conjugate no longer than the clique tested for invariant cubes,
     on every sphere."""
-    cliques = _lex_cliques(ball.graph, ball.radius)
+    cliques = lex_cliques(ball.graph, ball.radius)
     spheres = []
     found: list[Cube] = []
     for r, level in enumerate(sphere_states(inv, ball)):

@@ -24,11 +24,11 @@ from rcoxeter import (
     preset,
     support,
 )
-from rcoxeter.davis import _lex_cliques
 from oracles import (
     complete_graph,
     conjugates,
     filtered_invariant_cubes,
+    lex_cliques,
     random_graph,
     walked_conjugates,
     walked_profile,
@@ -101,7 +101,7 @@ class TestAxesTried:
 
     @staticmethod
     def filtered(inv, ball, flips_of):
-        cliques = _lex_cliques(ball.graph, ball.radius)
+        cliques = lex_cliques(ball.graph, ball.radius)
         found = []
         for r in range(min(inv.n, ball.radius - inv.n) + 1):
             for base in combinations(inv.clique, r):
@@ -265,6 +265,53 @@ class TestOneWalk:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    @pytest.mark.parametrize(
+        "graph, radius",
+        (
+            (PENTAGON, 8),
+            (DINFTY, 100),
+            (GRID, 12),
+            (complete_graph(6), 6),
+            (complete_graph(4), 10**30),
+        ),
+        ids=("pentagon-r8", "dinfty-r100", "grid-r12", "K6-r6", "K4-r1e30"),
+    )
+    @pytest.mark.parametrize("command", ("certify", "profile"))
+    def test_one_clique_search_and_one_series_walk(
+        self, monkeypatch, capsys, command, graph, radius
+    ):
+        # The census's walk feeds the cap, the cells and the profile, and
+        # the involution's clique gives the census its k: Bron-Kerbosch
+        # runs once, and the series is asked for columns 0..R at most.
+        import rcoxeter.davis as davis_module
+        import rcoxeter.spherical as spherical_module
+        from rcoxeter.cli import main
+
+        searches, columns = [], []
+        real_search = spherical_module._maximal_clique_masks
+        real_columns = davis_module._growth_columns
+
+        def counted_search(*args):
+            searches.append(args)
+            return real_search(*args)
+
+        def counted_columns(by_size):
+            for column in real_columns(by_size):
+                columns.append(column[-1])
+                yield column
+
+        monkeypatch.setattr(spherical_module, "_maximal_clique_masks", counted_search)
+        monkeypatch.setattr(davis_module, "_growth_columns", counted_columns)
+        if command == "certify":
+            assert certify(graph, radius).verdict
+        else:
+            # ``rcoxeter profile`` on this graph, given under a preset's name.
+            monkeypatch.setattr("rcoxeter.cli.preset", lambda name: graph)
+            assert main(["profile", "--preset", "square", "--radius", str(radius)]) == 0
+            assert capsys.readouterr().err == ""
+        assert len(searches) == 1
+        assert 0 < len(columns) <= radius + 1
 
 
 class TestStreamingAgainstBallWalk:

@@ -21,7 +21,8 @@ conjugate, and the profile read off the growth series against that walk,
 against the walk of left-descent bitmasks and against the closed form by
 inclusion-exclusion.  The census, the vertex cap and the profile are
 checked at radii up to 40, and on ``dinfty`` at 400, against the count of
-automaton states with multiplicity.  Examples are derandomized so every
+automaton states with multiplicity, and ``certify``, which reads all three
+off one walk, against separate calls.  Examples are derandomized so every
 run checks the same cases.
 """
 
@@ -39,15 +40,18 @@ from rcoxeter import (
     PRESETS,
     ResourceCapError,
     all_cliques,
+    antipodal_check,
     ball_census,
     build_ball,
     build_involution,
     canonical_cube,
+    certify,
     conjugate,
     cubes_at_vertex,
     displacement_profile,
     export_complex,
     fixed_loci,
+    has_order_two,
     invariant_cubes,
     links_flag_check,
     matrix_product,
@@ -338,6 +342,39 @@ def test_census_and_profile_match_state_census(graph, radius, data):
 )
 def test_state_census_on_presets_at_large_radii(name, radius):
     assert_matches_state_census(preset(name), radius)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs(), st.integers(0, 40), st.data())
+def test_certify_matches_separate_calls(graph, extra, data):
+    """``certify`` reads the cap, the census and the profile off one walk of
+    the growth series.  Its fields, and at a drawn vertex cap the error it
+    stops with, are those of separate ``ball_census``, ``fixed_loci`` and
+    ``displacement_profile`` calls; ``state_census`` above checks those."""
+    inv = build_involution(graph)
+    radius = (graph.n if graph.is_complete else inv.n + 1) + extra
+    total = ball_census(graph, radius, max_vertices=10**100).vertex_count
+    cap = data.draw(st.one_of(st.just(total), st.integers(1, total)))
+    try:
+        census = ball_census(graph, radius, max_vertices=cap)
+    except ResourceCapError as error:
+        with pytest.raises(ResourceCapError) as caught:
+            certify(graph, radius, max_vertices=cap)
+        assert caught.value.radius_reached == error.radius_reached
+        assert str(caught.value) == str(error)
+        return
+    certificate = certify(graph, radius, max_vertices=cap)
+    report = fixed_loci(inv, census)
+    monotone = displacement_profile(inv, census).monotone
+    order_two = has_order_two(inv.element, graph)
+    antipodal = antipodal_check(inv, graph)
+    assert certificate.reliable_radius == census.reliable_radius == radius - inv.n
+    assert certificate.unique_fixed_point == report.unique_point
+    assert certificate.displacement_monotone == monotone
+    assert (certificate.order_two, certificate.antipodal) == (order_two, antipodal)
+    assert certificate.verdict == (
+        order_two and report.unique_point and antipodal and monotone
+    )
 
 
 # Label characters: DOT and JSON specials, control characters, non-ASCII
