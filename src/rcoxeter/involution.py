@@ -1,6 +1,6 @@
 """The clique involution and its fixed points in a ball.
 
-Multiplying together a maximum clique of the defining graph gives an
+Multiplying together a maximal clique of the defining graph gives an
 order-two element: every factor is an involution and all factors commute.
 Left multiplication by that element is a cubical isometry of the Davis
 complex, and its fixed set can be read off cube by cube.  A cube (g, T) is
@@ -11,13 +11,13 @@ subcube on the flipped axes.  Its dimension is |T| minus the number of
 flipped coordinates, and it is a single point exactly when every
 coordinate flips.
 
-Everything here reads the cubes based within the reliable radius, R - k
-for a ball of radius R and a maximum clique C of size k, and needs only
-the graph and the radius: a ball and its census serve alike, and no
-``Ball`` is built.  The search for invariant cubes is complete over the
-subgroup W_C alone.  An invariant cube (g, T) has g^-1 * gamma * g in W_T,
-a product of distinct commuting generators, so g moves by at most k.  By
-the left-descent lemma proven in ``probe``, g moves by 2|g| + k - 2m,
+Everything here reads the cubes based within R - k, for a ball of radius
+R and a maximal clique C of size k, and needs only the graph and the
+radius: a ball and its census serve alike, and no ``Ball`` is built.
+The search for invariant cubes is complete over the subgroup W_C alone.
+An invariant cube (g, T) has g^-1 * gamma * g in W_T, a product of
+distinct commuting generators, so g moves by at most k.  By the
+left-descent lemma proven in ``probe``, g moves by 2|g| + k - 2m,
 where m counts the generators of C that are left descents of g; m is at
 most |g|, so m = |g|.  The product of those m descents is a left factor
 of g of length |g|, so g is that product, a subset of C.
@@ -27,7 +27,7 @@ cubes once more.  W_C is abelian, so each subset conjugates gamma to
 gamma itself; the search tests that rather than assume it.
 
 The expected picture, verified here on finite balls: one invariant cube,
-based at the identity on the maximum clique itself, carrying an isolated
+based at the identity on the clique itself, carrying an isolated
 fixed point at its center.
 """
 
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .davis import Ball, BallCensus, Cube, canonical_cube
 from .graphs import DefiningGraph
-from .spherical import Clique, _bits, _clique_levels, maximum_spherical
+from .spherical import Clique, _bits, _clique_levels, _mask_of, maximum_spherical
 from .words import IDENTITY, Word, conjugate, multiply, support, word_to_text
 
 
@@ -89,10 +89,18 @@ def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...
     is contained in T.  So the axes tried are that support, the flips, when
     it is a clique missing S, joined with each clique ``_clique_levels``
     lists from a root set: the generators adjacent to every flip and in
-    neither S nor the flips.  The axes are sorted lexicographically.
+    neither S nor the flips.  The axes are sorted lexicographically.  The
+    clique must be maximal, equal to the generators in or adjacent to all
+    of it, or ``ValueError`` is raised: a cube outside W_C may be invariant.
     """
     graph = ball.graph
     masks = graph.neighbor_masks
+    clique = _mask_of(inv.clique, graph.n)
+    common = (1 << graph.n) - 1
+    for g in inv.clique:
+        common &= masks[g] | 1 << g
+    if common != clique:
+        raise ValueError(f"clique {inv.clique} is not a maximal clique of {graph!r}")
     found: list[Cube] = []
     for r in range(min(inv.n, ball.radius - inv.n) + 1):
         room = ball.radius - r

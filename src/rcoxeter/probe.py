@@ -8,8 +8,8 @@ statement that no direction toward infinity is asymptotically fixed: a
 fixed boundary direction would show up as bounded displacement along some
 escaping sequence, while we observe the per-sphere minimum growing.
 
-The displacement is exact in terms of left descents.  Let C be the
-maximum clique, gamma the product of its k generators, and LD(w) the
+The displacement is exact in terms of left descents.  Let C be a
+maximal clique, gamma the product of its k generators, and LD(w) the
 left descents of w, the generators s with |s * w| < |w|.  Then
 
     |w^-1 * gamma * w| = 2|w| + k - 2|LD(w) & C|.
@@ -40,7 +40,7 @@ have only letters adjacent to s in between.
    One in gamma and one in u (or in u^-1) would move s to the front of
    u, making s a left descent of u in C.  One in u^-1 and one in u would
    have all of gamma in between, so s would lie outside C and be
-   adjacent to all of C, and C would not be a maximum clique.  Hence
+   adjacent to all of C, and C would not be a maximal clique.  Hence
    |u^-1 * gamma * u| = 2|u| + k = 2|w| + k - 2|LD(w) & C|.
 
 ``displacement_profile`` reads the profile off the growth series.  By
@@ -52,7 +52,9 @@ As m <= min(r, k), they move by at least max(k, 2r - k) and at most
 2r + k, and on an infinite group, one of a non-complete graph, both
 bounds are attained on every sphere: W_C has infinitely many cosets and
 a prefix of a u has no left descent in C, so q_l > 0 for every l.  The
-lemma also limits the invariant cubes to bases in W_C; see ``involution``.
+columns are normalized at the largest clique, so the profile needs C to
+be a maximum clique.  The lemma also limits the invariant cubes to bases
+in W_C; see ``involution``.
 
 ``certify`` bundles every check in the package into one verdict: the
 involution squares to the identity, its fixed point in the examined ball
@@ -72,12 +74,12 @@ from math import comb, inf
 from operator import le, mul
 from typing import NamedTuple
 
-# build_ball, maximum_spherical and conjugate are not called here; they
-# stay names of this module because bench/tracing.py wraps them.
+# build_ball and conjugate are not called here; they stay names of this
+# module because bench/tracing.py wraps them.
 from .davis import Ball, BallCensus, _census, build_ball  # noqa: F401
 from .graphs import DefiningGraph
 from .involution import Involution, antipodal_check, build_involution, fixed_loci
-from .spherical import maximum_spherical  # noqa: F401
+from .spherical import is_spherical, maximum_spherical
 from .words import conjugate, has_order_two, word_to_text  # noqa: F401
 
 
@@ -107,8 +109,13 @@ def displacement_profile(
     inv: Involution, ball: Ball | BallCensus
 ) -> DisplacementProfile:
     """Tabulate displacement over each nonempty sphere up to the reliable
-    radius, read off the growth series."""
-    return _census_profile(inv, ball.graph, max(ball.radius, 0), inf)[1]
+    radius, read off the growth series; a clique that is not a maximum
+    clique raises ``ValueError``."""
+    graph = ball.graph
+    size = len(maximum_spherical(graph))
+    if not (is_spherical(inv.clique, graph) and inv.n == len(inv.clique) == size):
+        raise ValueError(f"clique {inv.clique} is not a maximum clique of {graph!r}")
+    return _census_profile(inv, graph, max(ball.radius, 0), inf)[1]
 
 
 def _census_profile(

@@ -17,10 +17,9 @@ slides into the suffix in front of its leftmost larger letter.  A letter
 costs one bitmask step per letter of that commuting suffix: one step in
 free products such as ``dinfty``, where no two generators commute, and
 never more than the length of the word, so a word of length k costs
-O(k) steps there and O(k^2) at worst.  The step is written out inside
-the loops of ``multiply`` and ``normal_form`` rather than called once per
-letter, since the call cost more than the step.  Conjugating c by one
-generator x is a single ``multiply((x,), c + (x,))`` of |c| + 1 letters.
+O(k) steps there and O(k^2) at worst.  The step lives in the loop of
+``multiply`` alone, which also rejects a letter out of range; every other
+operation here goes through it.
 """
 
 from __future__ import annotations
@@ -44,33 +43,15 @@ def normal_form(letters, graph: DefiningGraph) -> Word:
     >>> normal_form((1, 0), g)  # a and b commute, so "ba" normalizes to "ab"
     (0, 1)
     """
-    n = graph.n
-    masks = graph.neighbor_masks
-    out: list[int] = []
-    for g in letters:
-        if not 0 <= g < n:
-            raise ValueError(f"generator index {g} out of range for {graph!r}")
-        gmask = masks[g]
-        i = at = len(out)
-        while i:
-            letter = out[i - 1]
-            if not gmask >> letter & 1:
-                break
-            i -= 1
-            if letter > g:
-                at = i
-        if i and out[i - 1] == g:
-            del out[i - 1]
-        else:
-            out.insert(at, g)
-    return tuple(out)
+    return multiply(IDENTITY, letters, graph)
 
 
 def multiply(x: Word, y: Word, graph: DefiningGraph) -> Word:
     """Normal form of the product x*y.
 
     ``x`` must already be a normal form, since it seeds the word each letter
-    of ``y`` is appended to; ``y`` may be any word over the generators.
+    of ``y`` is appended to; ``y`` may be any word over the generators, and
+    a letter outside 0..n-1 raises ``ValueError``.
 
     Appending ``g`` scans from the right over the letters commuting with
     ``g``, noting the leftmost one larger than ``g``.  If the letter that
@@ -78,13 +59,17 @@ def multiply(x: Word, y: Word, graph: DefiningGraph) -> Word:
     heap, so deleting it leaves the greedy order of the rest unchanged.
     Otherwise ``g`` becomes available right after that letter, and the
     greedy choice takes it in front of the leftmost larger letter of the
-    suffix, or last if there is none.  ``normal_form`` runs the same step
-    and also checks each letter's range.
+    suffix, or last if there is none.
     """
     masks = graph.neighbor_masks
     out = list(x)
     for g in y:
-        gmask = masks[g]
+        try:
+            if g < 0:
+                raise IndexError
+            gmask = masks[g]
+        except IndexError:
+            raise ValueError(f"generator index {g} out of range for {graph!r}") from None
         i = at = len(out)
         while i:
             letter = out[i - 1]
@@ -112,8 +97,7 @@ def length(x: Word) -> int:
 
 def conjugate(g: Word, x: Word, graph: DefiningGraph) -> Word:
     """Normal form of g^-1 * x * g."""
-    out = multiply(inverse(g, graph), x, graph)
-    return multiply(out, g, graph)
+    return multiply(IDENTITY, (*reversed(g), *x, *g), graph)
 
 
 def support(x: Word) -> frozenset[int]:

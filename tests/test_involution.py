@@ -9,6 +9,8 @@ from rcoxeter import (
     IDENTITY,
     BallCensus,
     Cube,
+    DefiningGraph,
+    Involution,
     antipodal_check,
     ball_census,
     build_ball,
@@ -22,6 +24,7 @@ from rcoxeter import (
     invariant_cubes,
     multiply,
     preset,
+    spherical_poset,
     support,
 )
 from oracles import (
@@ -29,6 +32,7 @@ from oracles import (
     conjugates,
     filtered_invariant_cubes,
     lex_cliques,
+    maximal_elements,
     random_graph,
     walked_conjugates,
     walked_profile,
@@ -92,6 +96,70 @@ class TestInvariantCubes:
                 t = conjugate(cube.base, inv.element, graph)
                 assert support(t) <= set(cube.axis)
                 assert multiply(t, t, graph) == IDENTITY
+
+
+def clique_involution(graph, clique):
+    """The involution of any clique, not only the one ``build_involution``
+    picks."""
+    return Involution(element=clique, clique=clique, n=len(clique), graph=graph)
+
+
+def triangle_and_edge(u, v):
+    """The triangle a, b, c plus the edge u-v."""
+    labels = tuple(sorted({"a", "b", "c", u, v}))
+    return DefiningGraph.from_edges(labels, (("a", "b"), ("a", "c"), ("b", "c"), (u, v)))
+
+
+class TestMaximalCliques:
+    """The left-descent lemma needs only a maximal clique, so every maximal
+    clique has one fixed point.  A clique that is not maximal, or for the
+    profile not maximum, is rejected where it would give a wrong answer."""
+
+    def test_every_maximal_clique_of_random_graphs(self):
+        rng = random.Random(1)
+        tried = 0
+        for _ in range(200):
+            graph = random_graph(rng, 6)
+            ball = build_ball(graph, 5)
+            for clique in maximal_elements(spherical_poset(graph)):
+                inv = clique_involution(graph, clique)
+                assert invariant_cubes(inv, ball) == filtered_invariant_cubes(inv, ball)
+                assert fixed_loci(inv, ball).unique_point
+                tried += 1
+        assert tried == 529
+
+    def test_clique_that_is_not_maximal_is_rejected(self):
+        # (d,) lies in the clique (a, d); a commutes with d, so the cube
+        # based at a is invariant too, outside W_C, and the fixed set of
+        # the walking oracle is more than one point.
+        graph = triangle_and_edge("d", "a")
+        inv = clique_involution(graph, (3,))
+        ball = build_ball(graph, 6)
+        assert filtered_invariant_cubes(inv, ball) == (
+            Cube((), (0, 3)),
+            Cube((), (3,)),
+            Cube((0,), (3,)),
+        )
+        for query in (invariant_cubes, fixed_loci):
+            with pytest.raises(ValueError, match="not a maximal clique"):
+                query(inv, ball)
+
+    def test_profile_needs_a_maximum_clique(self):
+        # (d, e) is maximal, so its fixed point is unique, but the series
+        # is read at the largest clique, (a, b, c).
+        graph = triangle_and_edge("d", "e")
+        inv = clique_involution(graph, (3, 4))
+        ball = build_ball(graph, 7)
+        assert fixed_loci(inv, ball).unique_point
+        assert walked_profile(inv, ball).means[:2] == (2.0, 3.2)
+        for where in (ball, ball_census(graph, 7)):
+            with pytest.raises(ValueError, match="not a maximum clique"):
+                displacement_profile(inv, where)
+
+    def test_out_of_range_clique_is_rejected(self):
+        inv = clique_involution(PENTAGON, (5,))
+        with pytest.raises(ValueError, match="out of range"):
+            invariant_cubes(inv, ball_census(PENTAGON, 4))
 
 
 class TestAxesTried:

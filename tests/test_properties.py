@@ -2,7 +2,9 @@
 and the automaton-built Davis ball against independent oracles, and the
 closed form of the displacement.
 
-Graphs have up to 8 generators and words up to 40 letters.  The two-phase
+Graphs have up to 8 generators and words up to 40 letters; the normal
+forms also see words of hundreds of letters on ``grid`` whose letters
+scan long suffixes of commuting letters.  The two-phase
 algorithm in ``oracles`` and the reflection matrices share no code with
 ``rcoxeter.words``; the breadth-first ball in ``oracles`` shares none with
 ``rcoxeter.davis.build_ball``, and the greedy canonical cube none with
@@ -112,15 +114,45 @@ def graph_and_pair(draw):
     return graph, draw(words(graph, 20)), draw(words(graph, 20))
 
 
+GRID = preset("grid")
+
+
+@st.composite
+def long_scans(draw):
+    """A word on ``grid`` whose letters scan long suffixes of commuting
+    letters: pieces (c d)^(L/2), L <= 200, with L/4 pairs "a a" at seeded
+    positions, since a commutes with c and d, joined by free-product
+    stretches (a b)^m, where every scan stops at the letter before."""
+    rng = draw(st.randoms(use_true_random=False))
+    word: list[int] = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            piece = [2, 3] * draw(st.integers(0, 100))
+            for _ in range(len(piece) // 4):
+                at = rng.randint(0, len(piece))
+                piece[at:at] = (0, 0)
+        else:
+            piece = [0, 1] * draw(st.integers(1, 20))
+        word += piece
+    return GRID, tuple(word)
+
+
+@st.composite
+def long_scan_pairs(draw):
+    graph, word = draw(long_scans())
+    cut = draw(st.integers(0, len(word)))
+    return graph, word[:cut], word[cut:]
+
+
 @PROPERTY
-@given(graph_and_word())
+@given(st.one_of(graph_and_word(), long_scans()))
 def test_normal_form_matches_two_phase_oracle(case):
     graph, word = case
     assert normal_form(word, graph) == two_phase_normal_form(word, graph)
 
 
 @PROPERTY
-@given(graph_and_pair())
+@given(st.one_of(graph_and_pair(), long_scan_pairs()))
 def test_multiply_matches_two_phase_oracle(case):
     graph, x, y = case
     x = normal_form(x, graph)
@@ -128,7 +160,7 @@ def test_multiply_matches_two_phase_oracle(case):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(graph_and_pair())
+@given(st.one_of(graph_and_pair(), long_scan_pairs()))
 def test_normal_forms_agree_with_tits_matrix(case):
     graph, x, y = case
     nf = normal_form(x + y, graph)

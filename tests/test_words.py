@@ -47,8 +47,16 @@ class TestNormalForm:
         assert normal_form((1, 0), PENTAGON) == (0, 1)
 
     def test_out_of_range_index(self):
-        with pytest.raises(ValueError, match="out of range"):
-            normal_form((2,), SQUARE)
+        n = PENTAGON.n
+        for call, args in (
+            (normal_form, ((2,), SQUARE)),
+            (normal_form, ((-1,), SQUARE)),
+            (multiply, ((), (-1,), PENTAGON)),
+            (multiply, ((0,), (n,), PENTAGON)),
+            (conjugate, ((0,), (-1,), PENTAGON)),
+        ):
+            with pytest.raises(ValueError, match="out of range"):
+                call(*args)
 
     def test_long_dinfty_word_with_cancelling_pairs(self):
         rng = random.Random(8000)
