@@ -190,13 +190,13 @@ class BallCensus(NamedTuple):
 
 def _growth_columns(by_size: list[int]) -> Iterator[list[int]]:
     """Yield, for l = 0, 1, 2, ..., the coefficients [t^l] (1+t)^j / P(t)
-    for j = 0..k, where ``by_size[d]`` counts the d-cliques.
+    / (1-t) for j = 0..k, where ``by_size[d]`` counts the d-cliques.
 
-    Entry j is the number of elements of length l whose descents miss a
-    given (k-j)-clique T, the minimal representatives of the cosets of W_T,
-    since W(t) = W^T(t) * (1+t)^|T|.  Entry k is the size of sphere l.
-    1/P(t) follows the order-k recurrence of its denominator, and each
-    further factor 1+t adds the previous column.
+    Entry j is the number of elements of length at most l whose descents
+    miss a given (k-j)-clique T, the minimal representatives of the cosets
+    of W_T, since W(t) = W^T(t) * (1+t)^|T|.  Entry k is the size of ball
+    l.  1/P(t) follows the order-k recurrence of its denominator, entry 0
+    sums it, and each further factor 1+t adds the previous column.
     """
     k = len(by_size) - 1
     # [t^1], ..., [t^k] of P(t); [t^0] is 1, from the empty clique.
@@ -209,7 +209,7 @@ def _growth_columns(by_size: list[int]) -> Iterator[list[int]]:
     q = 1
     while True:
         recent.appendleft(q)
-        nxt = [q]
+        nxt = [column[0] + q]
         for j in range(k):
             nxt.append(nxt[j] + column[j])
         column = nxt
@@ -233,8 +233,8 @@ def _census(
     graph: DefiningGraph, radius: int, max_vertices: float, k: int, qs: list | None = None
 ) -> BallCensus:
     """``ball_census`` for a maximum clique of k generators.  A list ``qs``
-    also receives q_r = [t^r] 1/P(t), entry 0 of column r, for each nonempty
-    sphere r up to radius - k, so the profile needs no walk of its own."""
+    also receives q_r = [t^r] 1/P(t), the rise of entry 0 at column r, for
+    each nonempty sphere r up to radius - k, so the profile needs no walk."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     # Only the cliques of at most ``radius`` generators are counted: a
@@ -250,23 +250,22 @@ def _census(
         if len(by_size) > radius or sum(by_size) > max_vertices:
             break
     by_size += [0] * (k + 1 - len(by_size))
-    vertices = 0
-    # sums[j]: the (k-j)-cubes per axis, i.e. the coset representatives of
-    # length at most radius - (k-j), so that the whole cube fits.
-    sums = [0] * (k + 1)
+    # window[d] is column radius - d, zero before column 0: its entry k - d
+    # counts the bases of length at most radius - d of a d-cube that fits.
+    window = deque([[0] * (k + 1)] * (k + 1), k + 1)
     # zip asks for no column past the radius, and a range takes any radius.
     for r, column in zip(range(radius + 1), _growth_columns(by_size)):
-        if not column[k]:  # a finite group: every later sphere is empty
+        # Only K_k has an empty sphere, r = k + 1, and then column k - d, in
+        # the window, holds all 2^(k-d) bases in entry k - d already.
+        if column[k] == window[0][k]:
             break
-        vertices += column[k]
-        if vertices > max_vertices:
+        if column[k] > max_vertices:
             raise ResourceCapError(max_vertices, r - 1)
         if qs is not None and r <= radius - k:
-            qs.append(column[0])
-        for j in range(max(k - radius + r, 0), k + 1):
-            sums[j] += column[j]
-    cells = tuple(c * s for c, s in zip(by_size, reversed(sums)))
-    return BallCensus(graph, radius, radius - k, vertices, cells[: radius + 1])
+            qs.append(column[0] - window[0][0])
+        window.appendleft(column)
+    cells = tuple(c * col[k - d] for d, (c, col) in enumerate(zip(by_size, window)))
+    return BallCensus(graph, radius, radius - k, window[0][k], cells[: radius + 1])
 
 
 def build_ball(

@@ -66,9 +66,26 @@ def build_involution(graph: DefiningGraph) -> Involution:
     other order would give the same element since the factors commute.
     """
     clique = maximum_spherical(graph)
-    return Involution(
-        element=tuple(clique), clique=clique, n=len(clique), graph=graph
-    )
+    return Involution(element=clique, clique=clique, n=len(clique), graph=graph)
+
+
+def _maximal_clique(inv: Involution, graph: DefiningGraph) -> None:
+    """Raise ``ValueError`` unless ``inv`` is the ascending product of its
+    clique, ``n`` its size, and the clique is maximal: its own ``_near``."""
+    clique = inv.clique
+    mask = _mask_of(clique, graph.n)
+    if not (inv.element == clique == tuple(_bits(mask)) and inv.n == len(clique)):
+        raise ValueError(f"gamma {inv.element}, n={inv.n}, is not the product of {clique}")
+    if _near(mask, graph) != mask:
+        raise ValueError(f"clique {clique} is not a maximal clique of {graph!r}")
+
+
+def _near(mask: int, graph: DefiningGraph) -> int:
+    """The generators in, or adjacent to, every generator of the mask."""
+    near = (1 << graph.n) - 1
+    for g in _bits(mask):
+        near &= graph.neighbor_masks[g] | 1 << g
+    return near
 
 
 def _support_mask(word: Word) -> int:
@@ -90,34 +107,25 @@ def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...
     it is a clique missing S, joined with each clique ``_clique_levels``
     lists from a root set: the generators adjacent to every flip and in
     neither S nor the flips.  The axes are sorted lexicographically.  The
-    clique must be maximal, equal to the generators in or adjacent to all
-    of it, or ``ValueError`` is raised: a cube outside W_C may be invariant.
+    clique must be maximal and ``inv`` its product, or ``ValueError`` is
+    raised: a cube outside W_C may be invariant.
     """
     graph = ball.graph
-    masks = graph.neighbor_masks
-    clique = _mask_of(inv.clique, graph.n)
-    common = (1 << graph.n) - 1
-    for g in inv.clique:
-        common &= masks[g] | 1 << g
-    if common != clique:
-        raise ValueError(f"clique {inv.clique} is not a maximal clique of {graph!r}")
+    _maximal_clique(inv, graph)
     found: list[Cube] = []
     for r in range(min(inv.n, ball.radius - inv.n) + 1):
         room = ball.radius - r
         for base in combinations(inv.clique, r):
             descents = _support_mask(base)
             flips = _support_mask(conjugate(base, inv.element, graph))
-            # Generators commuting with, or in, every flipped one.
-            near = (1 << graph.n) - 1
-            for g in _bits(flips):
-                near &= masks[g] | 1 << g
+            near = _near(flips, graph)
             if flips & ~near or flips & descents:
                 continue
             # An axis has at most ``room`` generators, and no clique more
             # than n: the smaller bound keeps islice's stop an index.
             flipped = tuple(_bits(flips))
             levels = islice(
-                _clique_levels(graph.n, masks, near & ~flips & ~descents),
+                _clique_levels(graph.n, graph.neighbor_masks, near & ~flips & ~descents),
                 min(room, graph.n) + 1 - len(flipped),
             )
             axes = [tuple(sorted(flipped + c)) for level in levels for c, _ in level]

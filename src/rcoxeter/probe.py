@@ -63,8 +63,9 @@ as the radius grows.  Complete defining graphs present finite groups whose
 boundary is empty, so they pass with an explanatory note.  It builds no
 ball, walks no sphere and makes one walk of the growth series: one clique
 search gives k, one clique count the series, and one loop up to the
-radius enforces the vertex cap, counts the cells and hands the profile
-q_0, ..., q_(R-k).  The fixed loci come from the subsets of the clique.
+radius enforces the vertex cap, hands the profile q_0, ..., q_(R-k) and
+keeps the last k + 1 cumulative columns, off which the census reads the
+cells.  The fixed loci come from the subsets of the clique.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ from typing import NamedTuple
 # module because bench/tracing.py wraps them.
 from .davis import Ball, BallCensus, _census, build_ball  # noqa: F401
 from .graphs import DefiningGraph
-from .involution import Involution, antipodal_check, build_involution, fixed_loci
-from .spherical import is_spherical, maximum_spherical
+from .involution import Involution, _maximal_clique, antipodal_check, fixed_loci
+from .involution import build_involution
+from .spherical import maximum_spherical
 from .words import conjugate, has_order_two, word_to_text  # noqa: F401
 
 
@@ -110,10 +112,10 @@ def displacement_profile(
 ) -> DisplacementProfile:
     """Tabulate displacement over each nonempty sphere up to the reliable
     radius, read off the growth series; a clique that is not a maximum
-    clique raises ``ValueError``."""
+    clique, or an ``inv`` that is not its product, raises ``ValueError``."""
     graph = ball.graph
-    size = len(maximum_spherical(graph))
-    if not (is_spherical(inv.clique, graph) and inv.n == len(inv.clique) == size):
+    _maximal_clique(inv, graph)
+    if inv.n != len(maximum_spherical(graph)):
         raise ValueError(f"clique {inv.clique} is not a maximum clique of {graph!r}")
     return _census_profile(inv, graph, max(ball.radius, 0), inf)[1]
 

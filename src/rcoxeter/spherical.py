@@ -119,14 +119,8 @@ def maximum_spherical(graph: DefiningGraph) -> Clique:
     >>> maximum_spherical(preset("grid"))
     (0, 2)
     """
-    best: Clique | None = None
-    best_size = -1
-    for mask in _maximal_clique_masks(graph.n, graph.neighbor_masks):
-        clique = tuple(_bits(mask))
-        if len(clique) > best_size or (len(clique) == best_size and clique < best):
-            best, best_size = clique, len(clique)
-    assert best is not None  # graphs have at least one generator
-    return best
+    masks = _maximal_clique_masks(graph.n, graph.neighbor_masks)
+    return min((tuple(_bits(mask)) for mask in masks), key=lambda c: (-len(c), c))
 
 
 class SphericalPoset(_Frozen):
@@ -146,10 +140,6 @@ class SphericalPoset(_Frozen):
 
     def __contains__(self, subset) -> bool:
         return tuple(subset) in self.elements
-
-    @staticmethod
-    def leq(a: Clique, b: Clique) -> bool:
-        return set(a) <= set(b)
 
 
 def spherical_poset(graph: DefiningGraph) -> SphericalPoset:

@@ -48,6 +48,7 @@ import json
 import random
 from collections import Counter
 from math import comb
+from operator import sub
 from typing import Callable, Iterator, NamedTuple
 
 from rcoxeter import (
@@ -634,10 +635,11 @@ def closed_form_spheres(graph: DefiningGraph, radius: int) -> tuple:
     series.
 
     Column l of ``davis._growth_columns`` has in entry k - j the number of
-    elements of length l with no left descent in a given j-subset S of the
-    maximum clique C (the count is the same for right descents, by
-    inversion).  The elements of length r whose left descents contain S
-    are gamma_S * u for those u of length r - j, so by inclusion-exclusion
+    elements of length at most l with no left descent in a given j-subset S
+    of the maximum clique C (the count is the same for right descents, by
+    inversion), so col_l, column l less column l - 1, counts those of
+    length exactly l.  The elements of length r whose left descents contain
+    S are gamma_S * u for those u of length r - j, so by inclusion-exclusion
 
         E_m(r) = sum over j >= m of (-1)^(j-m) C(j, m) C(k, j) col_{r-j}[k-j]
 
@@ -647,7 +649,9 @@ def closed_form_spheres(graph: DefiningGraph, radius: int) -> tuple:
     """
     k = len(maximum_spherical(graph))
     by_size = list(_clique_counts(graph.n, graph.neighbor_masks))
-    columns = list(itertools.islice(_growth_columns(by_size), max(radius - k + 1, 0)))
+    cumulative = list(itertools.islice(_growth_columns(by_size), max(radius - k + 1, 0)))
+    previous = [[0] * (k + 1)] + cumulative
+    columns = [list(map(sub, b, a)) for a, b in zip(previous, cumulative)]
     spheres = []
     for r, column in enumerate(columns):
         if not column[k]:

@@ -259,6 +259,22 @@ class TestCensus:
         for radius in range(6):
             self.assert_matches_ball(graph, radius)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_complete_graphs_past_saturation(self, n):
+        # K_n is (Z/2)^n: a d-cube is a d-subset T with a base that misses
+        # T, and the base is a subset of the other n - d generators with at
+        # most r - d of them, so that the whole cube fits in the ball.
+        graph = complete_graph(n)
+        for radius in range(n):
+            assert ball_census(graph, radius).cells_by_dimension == tuple(
+                comb(n, d) * sum(comb(n - d, i) for i in range(radius - d + 1))
+                for d in range(radius + 1)
+            )
+        whole = tuple(comb(n, d) * 2 ** (n - d) for d in range(n + 1))
+        for radius in (n, n + 1, 10**6, 10**30):
+            census = ball_census(graph, radius)
+            assert (census.vertex_count, census.cells_by_dimension) == (2**n, whole)
+
     def test_sphere_sizes_match_the_ball_and_matrix_bfs(self):
         for graph, radius in ((SQUARE, 4), (DINFTY, 6), (PENTAGON, 4), (GRID, 5)):
             ball = build_ball(graph, radius)

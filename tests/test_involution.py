@@ -156,6 +156,25 @@ class TestMaximalCliques:
             with pytest.raises(ValueError, match="not a maximum clique"):
                 displacement_profile(inv, where)
 
+    @pytest.mark.parametrize(
+        "graph, element, clique, n",
+        [
+            # b is not the product of (a,), though it too has one fixed point
+            (DINFTY, (1,), (0,), 1),
+            (DINFTY, (0,), (0,), 2),
+            (SQUARE, (1, 0), (1, 0), 2),
+            (SQUARE, (0, 1), (1, 0), 2),
+        ],
+    )
+    def test_involution_that_is_not_its_clique_is_rejected(
+        self, graph, element, clique, n
+    ):
+        inv = Involution(element=element, clique=clique, n=n, graph=graph)
+        for where in (build_ball(graph, 6), ball_census(graph, 6)):
+            for query in (invariant_cubes, fixed_loci, displacement_profile):
+                with pytest.raises(ValueError, match="is not the product of"):
+                    query(inv, where)
+
     def test_out_of_range_clique_is_rejected(self):
         inv = clique_involution(PENTAGON, (5,))
         with pytest.raises(ValueError, match="out of range"):
