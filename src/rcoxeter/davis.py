@@ -88,13 +88,17 @@ class Ball:
     numbering is kept, and every reader of the ball goes through it.  Each
     number indexes the cubes containing its vertex in one list per
     dimension, 0 up to the top dimension, each list in ``cubes`` order.
-    The index is built by walking edges: a cube's vertices are its base
-    times the subsets of its axis, reached from the base one axis letter at
-    a time, and each such step v -> v*g is an ascent, since the axis is a
-    clique that misses the base's descents.  Each ascent edge is multiplied
-    once and kept in an ascent table by vertex number and generator, so the
-    index costs one ``multiply`` per edge of the ball and the edges can be
-    read back without one.
+    A base's cubes come as one run sharing the base's word, so the base is
+    looked up in the numbering once per run; another order, or equal but
+    distinct base tuples, only cost more lookups.  A point is filed at its
+    base and an edge (b, (g,)) at b and at b*g.  A cube of dimension 2 or
+    more walks its vertices, its base times the subsets of its axis,
+    reached from the base one axis letter at a time; each such step
+    v -> v*g is an ascent, since the axis is a clique that misses the
+    base's descents.  Each ascent edge is multiplied once, by the edge or
+    the first walk through it, and kept in an ascent table by vertex
+    number and generator, so the index costs one ``multiply`` per edge of
+    the ball and the edges can be read back without one.
 
     The first read of a vertex freezes its lists into one dict from each
     dimension present to a tuple, which replaces the lists in the same
@@ -127,18 +131,33 @@ class Ball:
         # stored cube has that edge.
         n = graph.n
         self._up = up = [-1] * (len(vertices) * n)
+        base = None  # the previous cube's base, looked up into b
         for cube in cubes:
-            base, axis = cube
-            corners = [number[base]]
-            for g in axis:
-                for i in corners[:]:
-                    j = up[i * n + g]
-                    if j < 0:
-                        j = up[i * n + g] = number[multiply(vertices[i], (g,), graph)]
-                    corners.append(j)
+            if cube[0] is not base:
+                base = cube[0]
+                b = number[base]
+                at_base = cells[b]
+            axis = cube[1]
             d = len(axis)
-            for i in corners:
-                cells[i][d].append(cube)
+            if d == 1:
+                g = axis[0]
+                j = up[b * n + g]
+                if j < 0:
+                    j = up[b * n + g] = number[multiply(base, axis, graph)]
+                at_base[1].append(cube)
+                cells[j][1].append(cube)
+            elif not d:
+                at_base[0].append(cube)
+            else:
+                corners = [b]
+                for g in axis:
+                    for i in corners[:]:
+                        j = up[i * n + g]
+                        if j < 0:
+                            j = up[i * n + g] = number[multiply(vertices[i], (g,), graph)]
+                        corners.append(j)
+                for i in corners:
+                    cells[i][d].append(cube)
 
     def _cells_at(self, i: int) -> dict[int, tuple[Cube, ...]]:
         """The cubes through vertex number i, by dimension in ascending
@@ -461,9 +480,10 @@ def export_complex(ball: Ball, format: str) -> str:
     The JSON is the text ``json.dumps`` gives of {"radius", "reliable_radius",
     "vertices", "cubes": [{"base", "axis"}, ...]} with positive-dimensional
     cubes, each string quoted once.  A DOT label escapes backslash and
-    double quote.  Vertices are named by their numbers in the ball, and a
-    DOT edge joins its base to the base's entry in the ascent table, so the
-    export makes no ``multiply``.
+    double quote.  Vertices are named by their numbers in the ball, a base
+    looked up once per run of its cubes, and a DOT edge joins its base to
+    the base's entry in the ascent table, so the export makes no
+    ``multiply``.
     """
     labels = ball.graph.labels
     number = ball._number
@@ -472,13 +492,18 @@ def export_complex(ball: Ball, format: str) -> str:
         quoted = [encode_basestring_ascii(t) for t in texts]
         axes: dict[Clique, str] = {}
         cubes = []
-        for base, axis in ball.cubes:
+        base = None
+        for cube in ball.cubes:
+            axis = cube[1]
             if not axis:
                 continue
+            if cube[0] is not base:
+                base = cube[0]
+                base_text = quoted[number[base]]
             axis_text = axes.get(axis)
             if axis_text is None:
                 axis_text = axes[axis] = json.dumps([labels[g] for g in axis])
-            cubes.append(f'{{"base": {quoted[number[base]]}, "axis": {axis_text}}}')
+            cubes.append(f'{{"base": {base_text}, "axis": {axis_text}}}')
         return (
             f'{{"radius": {ball.radius}, "reliable_radius": {ball.reliable_radius}, '
             f'"vertices": [{", ".join(quoted)}], "cubes": [{", ".join(cubes)}]}}\n'
@@ -489,9 +514,13 @@ def export_complex(ball: Ball, format: str) -> str:
         lines = ["graph davis_ball {"]
         lines.extend(f'  n{i} [label="{text or "1"}"];' for i, text in enumerate(texts))
         n, up = ball.graph.n, ball._up
-        for base, axis in ball.cubes:
+        base = None
+        for cube in ball.cubes:
+            axis = cube[1]
             if len(axis) == 1:
-                i = number[base]
+                if cube[0] is not base:
+                    base = cube[0]
+                    i = number[base]
                 lines.append(f"  n{i} -- n{up[i * n + axis[0]]};")
         lines.append("}")
         return "\n".join(lines) + "\n"

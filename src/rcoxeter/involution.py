@@ -213,8 +213,16 @@ def antipodal_check(inv: Involution, graph: DefiningGraph) -> bool:
     complement every coordinate, the discrete antipodal map.  The subsets
     are visited in Gray-code order, each one letter away from the last, so
     each product is the previous one times one generator: one ``multiply``
-    per nonempty subset and memory linear in the clique.
+    per nonempty subset and memory linear in the clique.  Raises
+    ``ValueError`` unless ``inv`` is the product of a maximal clique.
     """
+    _maximal_clique(inv, graph)
+    return _antipodal(inv, graph)
+
+
+def _antipodal(inv: Involution, graph: DefiningGraph) -> bool:
+    """``antipodal_check`` for an involution that has passed
+    ``_maximal_clique``."""
     clique = inv.clique
     product, bits, full = inv.element, 0, _support_mask(clique)
     for step in range(1, 1 << len(clique)):

@@ -79,7 +79,7 @@ from typing import NamedTuple
 # module because bench/tracing.py wraps them.
 from .davis import Ball, BallCensus, _census, build_ball  # noqa: F401
 from .graphs import DefiningGraph
-from .involution import Involution, _maximal_clique, antipodal_check, fixed_loci
+from .involution import Involution, _antipodal, _maximal_clique, fixed_loci
 from .involution import build_involution
 from .spherical import maximum_spherical
 from .words import conjugate, has_order_two, word_to_text  # noqa: F401
@@ -212,7 +212,7 @@ def certify(
     census, profile = _census_profile(inv, graph, radius, max_vertices)
     report = fixed_loci(inv, census)
     order_two = has_order_two(inv.element, graph)
-    antipodal = antipodal_check(inv, graph)
+    antipodal = _antipodal(inv, graph)  # fixed_loci ran its guard
     monotone = profile.monotone
     verdict = order_two and report.unique_point and antipodal and monotone
     return Certificate(

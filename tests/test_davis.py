@@ -588,6 +588,25 @@ def _balls_missing_one_cube(graph, radius):
     return balls
 
 
+REFILINGS = ("reversed", "shuffled", "distinct-bases")
+
+
+def _refiled(cubes, how):
+    """A ball's cubes in reverse or shuffled order, or in order with every
+    base an equal but distinct tuple; CPython keeps one empty tuple, so the
+    identity's cubes still share theirs.  ``Ball`` files either kind the
+    same way, only without one base lookup per run."""
+    if how == "reversed":
+        return cubes[::-1]
+    if how == "shuffled":
+        shuffled = list(cubes)
+        random.Random(23).shuffle(shuffled)
+        return tuple(shuffled)
+    copied = tuple(Cube(tuple(list(base)), axis) for base, axis in cubes)
+    assert all(c.base is not d.base for c, d in zip(copied, cubes) if c.base)
+    return copied
+
+
 class TestReadOrder:
     """Whichever reader freezes a vertex first, the flag check, the cube
     lists and the cube lookups give the oracles' answers."""
@@ -624,13 +643,35 @@ class TestReadOrder:
                 assert grouped == cubes_through(ball, v)
         assert seen == outcomes
 
+    @pytest.mark.parametrize("how", REFILINGS)
+    @pytest.mark.parametrize(
+        "graph, radius",
+        [(PENTAGON, 4), (GRID, 4), (DINFTY, 6), (complete_graph(4), 8)],
+        ids=["pentagon-r4", "grid-r4", "dinfty-r6", "K4-r8"],
+    )
+    def test_cubes_in_any_order_or_with_copied_bases(self, graph, radius, how):
+        built = build_ball(graph, radius)
+        cubes = _refiled(built.cubes, how)
+        ball = Ball(graph, radius, built.vertices, cubes, built.reliable_radius)
+        assert ball._up == built._up
+        # Each group keeps the order of the cubes as given.
+        position = {cube: i for i, cube in enumerate(cubes)}
+        for v in ball.vertices:
+            expected = {
+                d: tuple(sorted(group, key=position.__getitem__))
+                for d, group in cubes_through(ball, v).items()
+            }
+            assert cubes_at_vertex(ball, v) == expected
+        assert all(ball.has_cube(cube) for cube in built.cubes)
+        assert links_flag_check(ball) == links_flag_check(built)
+
 
 class TestIndexWalksEachEdgeOnce:
-    @pytest.mark.parametrize("graph", HAS_CUBE_CASES, ids=HAS_CUBE_IDS)
-    def test_one_multiply_per_edge(self, monkeypatch, graph):
-        # bench/tracing.py wraps this module-level name and divides the
-        # traced davis.useful_ratio by the count it sees under build_ball,
-        # which is therefore the number of edges of the ball.
+    # bench/tracing.py wraps this module-level name and divides the traced
+    # davis.useful_ratio by the count it sees under build_ball, which is
+    # therefore the number of edges of the ball.
+    @staticmethod
+    def count_multiply(monkeypatch):
         import rcoxeter.davis as davis_module
 
         calls = []
@@ -641,10 +682,31 @@ class TestIndexWalksEachEdgeOnce:
             return real(*args)
 
         monkeypatch.setattr(davis_module, "multiply", counted)
+        return calls
+
+    @pytest.mark.parametrize("graph", HAS_CUBE_CASES, ids=HAS_CUBE_IDS)
+    def test_one_multiply_per_edge(self, monkeypatch, graph):
+        calls = self.count_multiply(monkeypatch)
         ball = build_ball(graph, 5)
         edges = ball.cell_counts()[1]
         assert edges > 0
         assert len(calls) == edges
+
+    def test_one_multiply_per_edge_of_k8(self, monkeypatch):
+        calls = self.count_multiply(monkeypatch)
+        ball = build_ball(complete_graph(8), 8)
+        assert ball.cell_counts()[1] == 8 * 2**7 == len(calls)
+
+    @pytest.mark.parametrize("how", REFILINGS)
+    @pytest.mark.parametrize("graph", HAS_CUBE_CASES, ids=HAS_CUBE_IDS)
+    def test_one_multiply_per_edge_in_any_order(self, monkeypatch, graph, how):
+        # A square met before its edges walks them, and each edge met later
+        # reads its ascent-table entry instead of multiplying again.
+        built = build_ball(graph, 5)
+        cubes = _refiled(built.cubes, how)
+        calls = self.count_multiply(monkeypatch)
+        ball = Ball(graph, 5, built.vertices, cubes, built.reliable_radius)
+        assert len(calls) == ball.cell_counts()[1] > 0
 
 
 class TestFlagCondition:
@@ -800,6 +862,15 @@ class TestExport:
             ball = build_ball(graph, r)
             for format in ("json", "dot"):
                 assert export_complex(ball, format) == reference_export(ball, format)
+
+    @pytest.mark.parametrize("how", REFILINGS)
+    @pytest.mark.parametrize("graph", [PENTAGON, GRID], ids=["pentagon", "grid"])
+    def test_refiled_cubes_match_reference(self, graph, how):
+        built = build_ball(graph, 4)
+        cubes = _refiled(built.cubes, how)
+        ball = Ball(graph, 4, built.vertices, cubes, built.reliable_radius)
+        for format in ("json", "dot"):
+            assert export_complex(ball, format) == reference_export(ball, format)
 
     def test_dot_escapes_quote_and_backslash(self):
         graph = DefiningGraph.from_edges(('a"b', "c\\d", "e"), [('a"b', "e")])

@@ -551,6 +551,23 @@ class TestAntipodal:
         assert all(len(y) == 1 for y in letters)
 
     @pytest.mark.parametrize(
+        "graph, element, clique, n",
+        [(DINFTY, (0,), (0,), 5), (SQUARE, (0, 1), (1, 0), 2)],
+        ids=["wrong-n", "descending-clique"],
+    )
+    def test_involution_that_is_not_its_clique_is_rejected(
+        self, graph, element, clique, n
+    ):
+        inv = Involution(element=element, clique=clique, n=n, graph=graph)
+        with pytest.raises(ValueError, match="is not the product of"):
+            antipodal_check(inv, graph)
+
+    def test_clique_that_is_not_maximal_is_rejected(self):
+        inv = Involution(element=(0,), clique=(0,), n=1, graph=SQUARE)
+        with pytest.raises(ValueError, match="not a maximal clique"):
+            antipodal_check(inv, SQUARE)
+
+    @pytest.mark.parametrize(
         "wrong",
         (lambda x, y, graph: x, lambda x, y, graph: x + y),
         ids=("drops-the-subset", "never-cancels"),

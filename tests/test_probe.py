@@ -190,7 +190,9 @@ class TestCertify:
 # preset or on K6 (generators x0..x5), computed before the fixed loci and
 # the profile stopped sharing one walk of the spheres; the ``ball`` rows,
 # which pin the census's cube counts, before the census read them off
-# cumulative growth columns.
+# cumulative growth columns; the ``export`` and ``cubes`` rows, whose
+# COMMAND carries its format or vertex, before ``Ball`` filed each run of
+# cubes under one lookup of its base.
 CLI_DIGESTS = {
     ("certify", "pentagon", 6): (
         0, "f80d15cca87d7d971bd5ddefbbb9dd08730506023a681344005c96beab9f3fd9"
@@ -303,6 +305,45 @@ CLI_DIGESTS = {
     ("ball", "K6", 10**6): (
         0, "51b75abf19e8f21959a27f7e3d7e32af14faab515a5872a4362dc82ee23d694f"
     ),
+    ("export", "pentagon", 6): (
+        0, "dcf8fd1e45a38465f50af3196350b4fca6662c8a02f70f8f7c41d111e18ab42c"
+    ),
+    ("export --format dot", "pentagon", 6): (
+        0, "1bd9654063596235f209770f57a6c3253315a5c155998760111fd94261f41370"
+    ),
+    ("export", "grid", 5): (
+        0, "181e0bad82fc4aa85700ed1db1a8c9568ed10df08a63b390d5234224604127de"
+    ),
+    ("export --format dot", "grid", 5): (
+        0, "504b22d58a137879958057e43a1e8e1779e09a2101ee1873307b3012c0b8e362"
+    ),
+    ("export", "dinfty", 50): (
+        0, "571b61a06f78a9e19cbaa0678f8249c99496644b6350c775169f8b3c6f71c5ff"
+    ),
+    ("export --format dot", "dinfty", 50): (
+        0, "776e234592c938777d4b690581b28e420b7e004ed6c1dbdd85c97ba6d374a28a"
+    ),
+    ("export", "K6", 6): (
+        0, "249308408c1690b5eb814e27fb9a3bd6a2a31b9a03f47bf1909455041455b456"
+    ),
+    ("export --format dot", "K6", 6): (
+        0, "bee61308b480b2698128b29962030c266f7b2c4a29f0b98dbc0bb0ea453db8a7"
+    ),
+    ("cubes v0 v2 v4", "pentagon", 6): (
+        0, "29d4b254837788d36255e4e70eac8a1e21b34d77fee19531097c6ddbe93b659f"
+    ),
+    ("cubes a c b", "grid", 5): (
+        0, "5776cf2b680243c5249cd4f025b621157a4421747f8fefbe2e768df0322c1344"
+    ),
+    ("cubes" + " a b" * 12, "dinfty", 50): (
+        0, "75c086946b890a68f5eefdec1fd7eb8fb0963a8751d46cb9be0ce2e9cc205847"
+    ),
+    ("cubes" + " b a" * 25, "dinfty", 50): (
+        0, "7c785ed2c90ff48d49dfea15ea2dd9a8b6335ad995cbac48f1aba37e577a25a3"
+    ),
+    ("cubes x0 x2 x4", "K6", 6): (
+        0, "5e9aade6269e630cb70027cfd3f8cf8f647b89fb1ff85a829ce00118aeea8257"
+    ),
 }
 
 
@@ -318,7 +359,7 @@ def test_cli_output_is_pinned(tmp_path, capsys, command, name, radius):
         source = ["--graph", str(path)]
     else:
         source = ["--preset", name]
-    code = main([command, *source, "--radius", str(radius)])
+    code = main([*command.split(), *source, "--radius", str(radius)])
     captured = capsys.readouterr()
     digest = hashlib.sha256(captured.out.encode()).hexdigest()
     assert (code, digest, captured.err) == (*CLI_DIGESTS[command, name, radius], "")
