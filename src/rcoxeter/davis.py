@@ -433,12 +433,9 @@ def links_flag_check(ball: Ball) -> FlagCheckReport:
         return FlagCheckReport(True, (), end)
     for i, v in enumerate(ball.vertices[:end]):
         cells = ball._cells_at(i)
-        squares = cells.get(2)
-        if not squares:
-            continue
         masks = [0] * n
         triangle = 0
-        for _, (s, t) in squares:
+        for _, (s, t) in cells.get(2, ()):
             triangle |= masks[s] & masks[t]
             masks[s] |= 1 << t
             masks[t] |= 1 << s

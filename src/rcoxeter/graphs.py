@@ -115,27 +115,20 @@ class DefiningGraph(_Frozen):
     def from_edges(
         cls, labels: tuple[str, ...] | list[str], edges
     ) -> "DefiningGraph":
-        """Build a graph from generator labels and commuting pairs of labels."""
+        """Build a graph from generator labels and commuting pairs of labels.
+        Each edge needs two endpoints among the labels; every label rule and
+        the self-loop rule are left to the constructor."""
         labels = tuple(labels)
-        index = {}
-        for i, label in enumerate(labels):
-            if label in index:
-                raise DuplicateLabelError(f"duplicate label {label!r}")
-            index[label] = i
+        index = {label: i for i, label in enumerate(labels)}
         masks = [0] * len(labels)
-        if not labels:
-            raise EmptyVertexListError("graph has no generators")
         for edge in edges:
             pair = tuple(edge)
             if len(pair) != 2:
                 raise GraphParseError(f"edge {pair!r} does not have two endpoints")
-            u, v = pair
-            for endpoint in (u, v):
+            for endpoint in pair:
                 if endpoint not in index:
                     raise UnknownLabelError(f"edge references unknown label {endpoint!r}")
-            if u == v:
-                raise SelfLoopError(f"self-loop at {u!r}")
-            i, j = index[u], index[v]
+            i, j = index[pair[0]], index[pair[1]]
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         return cls(labels, tuple(masks))
@@ -212,9 +205,7 @@ def _parse_json_graph(text: str) -> DefiningGraph:
 
 def _parse_text_graph(text: str) -> DefiningGraph:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise EmptyVertexListError("graph has no generators")
-    labels = tuple(lines[0].split())
+    labels = tuple(lines[0].split()) if lines else ()
     edges = []
     for line in lines[1:]:
         endpoints = line.split()

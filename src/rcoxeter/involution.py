@@ -70,8 +70,10 @@ def build_involution(graph: DefiningGraph) -> Involution:
 
 
 def _maximal_clique(inv: Involution, graph: DefiningGraph) -> None:
-    """Raise ``ValueError`` unless ``inv`` is the ascending product of its
-    clique, ``n`` its size, and the clique is maximal: its own ``_near``."""
+    """Raise ``ValueError`` unless ``inv`` is on ``graph``, the ascending product
+    of its clique, ``n`` its size, and the clique maximal: its own ``_near``."""
+    if inv.graph is not graph and inv.graph != graph:
+        raise ValueError(f"involution on {inv.graph!r} used with {graph!r}")
     clique = inv.clique
     mask = _mask_of(clique, graph.n)
     if not (inv.element == clique == tuple(_bits(mask)) and inv.n == len(clique)):

@@ -741,6 +741,17 @@ def complete_graph(n: int) -> DefiningGraph:
     )
 
 
+def complete_graph_file(directory, n: int) -> str:
+    """Write K_n in the text format to a file in ``directory``; return its path."""
+    labels = [f"x{i}" for i in range(n)]
+    path = directory / f"k{n}.txt"
+    path.write_text(
+        " ".join(labels) + "\n"
+        + "".join(f"{a} {b}\n" for i, a in enumerate(labels) for b in labels[i + 1 :])
+    )
+    return str(path)
+
+
 def reference_export(ball: Ball, format: str) -> str:
     """``export_complex`` as one ``json.dumps`` of a payload of dicts, or a
     DOT graph whose labels are joined word by word and not escaped."""

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from rcoxeter import all_cliques, build_ball, certify, parse_graph, preset
 from rcoxeter.cli import UnsupportedFormatError, format_report, main
+from oracles import complete_graph_file
 
 
 def run(capsys, *argv):
@@ -85,7 +86,7 @@ class TestCliqueCommands:
         # K20 has 2^20 cliques: counting sizes up to 14 passes the default
         # cap, and no clique is listed.  Listing them takes over 100 MiB;
         # the masks of two adjacent sizes take about 9 MiB.
-        path = TestBallsBuilt.complete_graph_file(tmp_path, 20)
+        path = complete_graph_file(tmp_path, 20)
         tracemalloc.start()
         try:
             code, out, err = run(capsys, "cliques", "--graph", path)
@@ -103,7 +104,7 @@ class TestCliqueCommands:
         # the listing never holds the whole text: the peak stays under
         # twice the output, where one json.dumps of the full payload
         # peaks near nine times it.
-        path = TestBallsBuilt.complete_graph_file(tmp_path, 14)
+        path = complete_graph_file(tmp_path, 14)
         out_path = tmp_path / "cliques.json"
         argv = ["cliques", "--graph", path, "--out", str(out_path)]
         # The first run pays the imports and leaves its freed clique
@@ -258,19 +259,9 @@ class TestBallsBuilt:
             "rcoxeter: vertex cap 1000000 exceeded; last complete radius was 499999\n"
         )
 
-    @staticmethod
-    def complete_graph_file(tmp_path, n):
-        labels = [f"x{i}" for i in range(n)]
-        path = tmp_path / f"k{n}.txt"
-        path.write_text(
-            " ".join(labels) + "\n"
-            + "".join(f"{a} {b}\n" for i, a in enumerate(labels) for b in labels[i + 1 :])
-        )
-        return str(path)
-
     def test_complete_graph_on_24_generators_lists_few_cliques(self, tmp_path, capsys):
         # K24 has 2^24 cliques; radius 2 needs the 301 of at most 2 generators.
-        path = self.complete_graph_file(tmp_path, 24)
+        path = complete_graph_file(tmp_path, 24)
         tracemalloc.start()
         try:
             code, out, _ = run(capsys, "ball", "--graph", path, "--radius", "2")
@@ -283,7 +274,7 @@ class TestBallsBuilt:
 
     def test_complete_graph_on_24_generators_at_radius_thirty(self, tmp_path, capsys):
         # 536,155 cliques have at most 7 generators, 1,271,626 at most 8.
-        path = self.complete_graph_file(tmp_path, 24)
+        path = complete_graph_file(tmp_path, 24)
         code, out, err = run(capsys, "ball", "--graph", path, "--radius", "30")
         assert (code, out) == (3, "")
         assert err == "rcoxeter: vertex cap 1000000 exceeded; last complete radius was 7\n"
@@ -407,6 +398,41 @@ class TestGraphSources:
         code, out, err = run(capsys, "maxclique", "--graph", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("rcoxeter: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            (
+                {"vertices": ["a", "a"], "edges": [["a", "z"]]},
+                "edge references unknown label 'z'",
+            ),
+            (
+                {"vertices": [], "edges": [["a", "b"]]},
+                "edge references unknown label 'a'",
+            ),
+            (
+                {"vertices": ["a b"], "edges": [["a b", "a b"]]},
+                "generator label 'a b' contains whitespace",
+            ),
+            (
+                {"vertices": ["a", "b"], "edges": [["a", "a"], ["a", "z"]]},
+                "edge references unknown label 'z'",
+            ),
+        ],
+        ids=[
+            "duplicate-and-unknown", "empty-and-unknown", "whitespace-and-self-loop",
+            "self-loop-and-unknown",
+        ],
+    )
+    def test_graph_breaking_two_rules_reports_the_edge_rule_first(
+        self, tmp_path, capsys, graph, message
+    ):
+        # The edges' own rules are checked while the masks are built; the
+        # label and self-loop rules, after, by the graph's constructor.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(graph))
+        code, out, err = run(capsys, "cliques", "--graph", str(path))
+        assert (code, out, err) == (1, "", f"rcoxeter: {message}\n")
 
     def test_dot_labels_are_escaped(self, tmp_path, capsys):
         path = tmp_path / "quoted.json"

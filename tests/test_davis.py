@@ -29,7 +29,6 @@ from rcoxeter import (
     tits_matrix,
     word_to_text,
 )
-from rcoxeter.cli import main
 from oracles import (
     assert_same_ball,
     bfs_ball,
@@ -43,6 +42,7 @@ from oracles import (
     reference_export,
     reference_flag_check,
 )
+from test_probe import CLI_DIGESTS
 
 SQUARE = preset("square")
 DINFTY = preset("dinfty")
@@ -398,31 +398,6 @@ class TestCubesAtVertex:
             cubes_at_vertex(build_ball(DINFTY, 2), (0, 1, 0))
 
 
-# sha256 of the stdout of ``rcoxeter cubes --preset P --radius R WORD``,
-# computed before the per-dimension index replaced regrouping per read.
-CUBES_CLI_DIGESTS = {
-    ("pentagon", 6): {
-        "e": "7e5200329e0fe546b5d9a776c3dd414834946739bbce7353491cb85847b1000f",
-        "v0": "3fb875b2259e56770fc454c7567a1f002b1a507bf2b5df915eced660badb94fb",
-        "v2 v0 v3": "a33bef3c6bedc224b7390b003af5b80b20b5ed0c7e368355010304b066d16704",
-        "v0 v2 v4 v1 v3": "e4a609c4afd4cb94a0e756d65235c6b3d7c3a49708412744a2353a4981f38345",
-        "v1 v3 v0 v2 v4 v1": "4812ef6d9ae12494af124fcdb7166ff8238f8d68921d7e46b2f8d16bce4cf1e5",
-    },
-    ("grid", 5): {
-        "e": "db019379dcea90d4727f706e075b292c128a885369b3ba5696071b0d63c21f28",
-        "c a": "849693d286f852f0a7eb350e7792435ee860f4e73c28e454bc90cba036615b07",
-        "a b c d": "8b80961b1c5f00fab208f66dfaf74678bd972199b770db2904522a766e651428",
-        "a b a b a": "5b8c9af266d60f0f2613a8faf1fff879d16b22aaf559e53d799fe5e5648c88e4",
-    },
-    ("dinfty", 30): {
-        "e": "1136f42b075085251f0c2acddf8b79257b51cb8c2ce8d6108fed03ff104cc798",
-        "b a": "5b78ce25860f7e625179b3ccb1a57fef2f4a856dbfc9666c9c62874df2b2969a",
-        "ab" * 14 + "a": "488c3b809160480247205742326bbb0b9facaa3ba95fdbe62d9511fecf95c9fd",
-        "ba" * 15: "ce1eadbbdfc19b3885561dd931574130717779ba486e1333c578ff1ff1d274b1",
-    },
-}
-
-
 class TestCubesAtVertexContract:
     """The shape ``rcoxeter cubes`` prints from: ascending dimensions, no
     empty group, each group in ``ball.cubes`` order, and a fresh dict per
@@ -453,17 +428,6 @@ class TestCubesAtVertexContract:
             grouped.clear()
             grouped[99] = ()
             assert cubes_at_vertex(ball, v) == expected
-
-    @pytest.mark.parametrize(
-        "name, radius, word",
-        [(*key, word) for key, by_word in CUBES_CLI_DIGESTS.items() for word in by_word],
-    )
-    def test_cli_output_is_pinned(self, capsys, name, radius, word):
-        code = main(["cubes", "--preset", name, "--radius", str(radius), *word.split()])
-        out = capsys.readouterr().out
-        assert code == 0
-        digest = CUBES_CLI_DIGESTS[name, radius][word]
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestFaceClosure:
@@ -755,6 +719,22 @@ class TestFlagCondition:
         assert report == (False, (FlagViolation((1,), (0, 1, 2)),), 3)
         assert report == reference_flag_check(ball)
 
+    def test_vertex_without_squares_is_passed_over(self):
+        # Without the squares through (0,) that vertex has none, so no
+        # triangle; the identity before it keeps three, and (1,) after it
+        # keeps the triangle on (0, 2, 3) but not its 3-cube.
+        full = build_ball(complete_graph(4), 8)
+        missing = Cube((1,), (0, 2, 3))
+        dropped = {missing, *cubes_at_vertex(full, (0,))[2]}
+        assert missing in full.cubes
+        cubes = tuple(cube for cube in full.cubes if cube not in dropped)
+        ball = Ball(full.graph, full.radius, full.vertices, cubes, full.reliable_radius)
+        assert 2 not in cubes_at_vertex(ball, (0,))
+        assert 2 in cubes_at_vertex(ball, IDENTITY)
+        report = links_flag_check(ball)
+        assert report == (False, (FlagViolation((1,), (0, 2, 3)),), 3)
+        assert report == reference_flag_check(ball)
+
     @pytest.mark.parametrize(
         "n, radius, checked",
         [(4, 2, 0), (4, 3, 0), (4, 4, 1), (8, 8, 1), (4, 10, 16)],
@@ -889,39 +869,6 @@ class TestExport:
             assert text == (word_to_text(w, graph) or "1")
 
 
-# sha256 of the stdout of ``rcoxeter export --radius R --format F`` on a
-# preset or on K5 (generators x0..x4), computed before each vertex text was
-# built from its parent's.
-EXPORT_CLI_DIGESTS = {
-    ("pentagon", 6, "json"): "dcf8fd1e45a38465f50af3196350b4fca6662c8a02f70f8f7c41d111e18ab42c",
-    ("pentagon", 6, "dot"): "1bd9654063596235f209770f57a6c3253315a5c155998760111fd94261f41370",
-    ("grid", 5, "json"): "181e0bad82fc4aa85700ed1db1a8c9568ed10df08a63b390d5234224604127de",
-    ("grid", 5, "dot"): "504b22d58a137879958057e43a1e8e1779e09a2101ee1873307b3012c0b8e362",
-    ("dinfty", 30, "json"): "5b8d1c9b6c0293518a70a00b8ad18d3bedcf1353470969d866a952bb8433927a",
-    ("dinfty", 30, "dot"): "18ad49df1a095956e53c7af4adfe682db589786102aa12fc2d3b012ffde8e906",
-    ("K5", 5, "json"): "65e6c76013987add08d52d9f5edd1eeeec84a527b774cc84846b52e2f1e7bc5e",
-    ("K5", 5, "dot"): "9d7018b1da90aa550fceff637fae101366f8df43d769ba2ea17971329e514e6d",
-}
-
-
-@pytest.mark.parametrize("name, radius, format", list(EXPORT_CLI_DIGESTS))
-def test_export_cli_output_is_pinned(tmp_path, capsys, name, radius, format):
-    if name == "K5":
-        path = tmp_path / "k5.json"
-        graph = complete_graph(5)
-        path.write_text(json.dumps({
-            "vertices": list(graph.labels),
-            "edges": [[graph.labels[i], graph.labels[j]] for i, j in graph.edges],
-        }))
-        source = ["--graph", str(path)]
-    else:
-        source = ["--preset", name]
-    code = main(["export", *source, "--radius", str(radius), "--format", format])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_CLI_DIGESTS[name, radius, format]
-
-
 @pytest.mark.parametrize("name, radius", [("pentagon", 6), ("K5", 5)])
 def test_export_reads_the_ball_and_makes_no_multiply(monkeypatch, name, radius):
     # Both formats name vertices by the ball's numbering and read the DOT
@@ -934,6 +881,6 @@ def test_export_reads_the_ball_and_makes_no_multiply(monkeypatch, name, radius):
         raise AssertionError("export_complex called multiply")
 
     monkeypatch.setattr(davis_module, "multiply", refuse)
-    for format in ("json", "dot"):
+    for command, format in (("export", "json"), ("export --format dot", "dot")):
         out = export_complex(ball, format)
-        assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_CLI_DIGESTS[name, radius, format]
+        assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[command, name, radius][1]

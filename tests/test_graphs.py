@@ -62,10 +62,13 @@ def test_parse_json_garbage():
         '{"vertices":["a","b"],"edges":[["a","b","a"]]}',
         '{"vertices":["a","b"],"edges":[["a",1]]}',
         "[" * 100_000 + "]" * 100_000,
+        '{"vertices":"ab"}',
+        '{"vertices":["a",1]}',
     ],
     ids=[
         "edges-not-a-list", "top-level-array", "edge-object",
         "edge-of-three", "edge-non-string", "nested-too-deep",
+        "vertices-not-a-list", "vertex-non-string",
     ],
 )
 def test_parse_json_schema_violations(text):
@@ -143,3 +146,25 @@ def test_unknown_label_lookup():
 def test_constructor_rejects_asymmetric_masks():
     with pytest.raises(GraphParseError, match="symmetric"):
         DefiningGraph(("a", "b"), (0b10, 0b00))
+
+
+def test_from_edges_rejects_an_edge_without_two_endpoints():
+    with pytest.raises(GraphParseError, match="does not have two endpoints"):
+        DefiningGraph.from_edges(("a", "b"), [("a",)])
+
+
+@pytest.mark.parametrize(
+    "labels, edges, error, message",
+    [
+        ((), [], EmptyVertexListError, "graph has no generators"),
+        (("a", "a"), [], DuplicateLabelError, "duplicate label 'a'"),
+        (("a", "b"), [("b", "b")], SelfLoopError, "self-loop at 'b'"),
+        (("a", ""), [], GraphParseError, "empty generator label"),
+    ],
+    ids=["empty", "duplicate", "self-loop", "empty-label"],
+)
+def test_from_edges_leaves_label_and_loop_rules_to_the_constructor(
+    labels, edges, error, message
+):
+    with pytest.raises(error, match=f"^{message}$"):
+        DefiningGraph.from_edges(labels, edges)

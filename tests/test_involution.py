@@ -175,6 +175,26 @@ class TestMaximalCliques:
                 with pytest.raises(ValueError, match="is not the product of"):
                     query(inv, where)
 
+    def test_involution_of_another_graph_is_rejected(self):
+        inv = build_involution(DINFTY)
+        other = DefiningGraph.from_edges(("p", "q"), [])
+        for where in (build_ball(other, 5), ball_census(other, 5)):
+            for query in (invariant_cubes, fixed_loci, displacement_profile):
+                with pytest.raises(ValueError, match="used with"):
+                    query(inv, where)
+        with pytest.raises(ValueError, match="used with"):
+            antipodal_check(inv, other)
+
+    def test_involution_of_an_equal_graph_is_accepted(self):
+        twin = DefiningGraph.from_edges(("a", "b"), [])
+        assert twin == DINFTY and twin is not DINFTY
+        inv, census = build_involution(DINFTY), ball_census(twin, 5)
+        own = build_involution(twin)
+        assert invariant_cubes(inv, census) == invariant_cubes(own, census)
+        assert fixed_loci(inv, census).as_dict() == fixed_loci(own, census).as_dict()
+        assert displacement_profile(inv, census) == displacement_profile(own, census)
+        assert antipodal_check(inv, twin)
+
     def test_out_of_range_clique_is_rejected(self):
         inv = clique_involution(PENTAGON, (5,))
         with pytest.raises(ValueError, match="out of range"):

@@ -1,5 +1,4 @@
 import hashlib
-import json
 from time import perf_counter
 
 import pytest
@@ -16,7 +15,13 @@ from rcoxeter import (
     sphere,
 )
 from rcoxeter.cli import format_report, main
-from oracles import closed_form_spheres, complete_graph, displacement, profile_of
+from oracles import (
+    closed_form_spheres,
+    complete_graph,
+    complete_graph_file,
+    displacement,
+    profile_of,
+)
 
 SQUARE = preset("square")
 DINFTY = preset("dinfty")
@@ -186,13 +191,11 @@ class TestCertify:
         assert broken.as_dict()["antipodal"] is False
 
 
-# Exit code and sha256 of the stdout of ``rcoxeter COMMAND --radius R`` on a
-# preset or on K6 (generators x0..x5), computed before the fixed loci and
-# the profile stopped sharing one walk of the spheres; the ``ball`` rows,
-# which pin the census's cube counts, before the census read them off
-# cumulative growth columns; the ``export`` and ``cubes`` rows, whose
-# COMMAND carries its format or vertex, before ``Ball`` filed each run of
-# cubes under one lookup of its base.
+# Every pinned CLI output: the exit code and the sha256 of the stdout of
+# ``rcoxeter COMMAND --radius R`` (no ``--radius`` when R is None) on a
+# preset or on K_n (generators x0..x{n-1}), where COMMAND carries any
+# format or vertex; stderr must be empty.  Each digest was computed before
+# the change that added its row, and none has been regenerated since.
 CLI_DIGESTS = {
     ("certify", "pentagon", 6): (
         0, "f80d15cca87d7d971bd5ddefbbb9dd08730506023a681344005c96beab9f3fd9"
@@ -344,22 +347,114 @@ CLI_DIGESTS = {
     ("cubes x0 x2 x4", "K6", 6): (
         0, "5e9aade6269e630cb70027cfd3f8cf8f647b89fb1ff85a829ce00118aeea8257"
     ),
+    ("cubes e", "pentagon", 6): (
+        0, "7e5200329e0fe546b5d9a776c3dd414834946739bbce7353491cb85847b1000f"
+    ),
+    ("cubes v0", "pentagon", 6): (
+        0, "3fb875b2259e56770fc454c7567a1f002b1a507bf2b5df915eced660badb94fb"
+    ),
+    ("cubes v2 v0 v3", "pentagon", 6): (
+        0, "a33bef3c6bedc224b7390b003af5b80b20b5ed0c7e368355010304b066d16704"
+    ),
+    ("cubes v0 v2 v4 v1 v3", "pentagon", 6): (
+        0, "e4a609c4afd4cb94a0e756d65235c6b3d7c3a49708412744a2353a4981f38345"
+    ),
+    ("cubes v1 v3 v0 v2 v4 v1", "pentagon", 6): (
+        0, "4812ef6d9ae12494af124fcdb7166ff8238f8d68921d7e46b2f8d16bce4cf1e5"
+    ),
+    ("cubes e", "grid", 5): (
+        0, "db019379dcea90d4727f706e075b292c128a885369b3ba5696071b0d63c21f28"
+    ),
+    ("cubes c a", "grid", 5): (
+        0, "849693d286f852f0a7eb350e7792435ee860f4e73c28e454bc90cba036615b07"
+    ),
+    ("cubes a b c d", "grid", 5): (
+        0, "8b80961b1c5f00fab208f66dfaf74678bd972199b770db2904522a766e651428"
+    ),
+    ("cubes a b a b a", "grid", 5): (
+        0, "5b8c9af266d60f0f2613a8faf1fff879d16b22aaf559e53d799fe5e5648c88e4"
+    ),
+    ("cubes e", "dinfty", 30): (
+        0, "1136f42b075085251f0c2acddf8b79257b51cb8c2ce8d6108fed03ff104cc798"
+    ),
+    ("cubes b a", "dinfty", 30): (
+        0, "5b78ce25860f7e625179b3ccb1a57fef2f4a856dbfc9666c9c62874df2b2969a"
+    ),
+    ("cubes " + "ab" * 14 + "a", "dinfty", 30): (
+        0, "488c3b809160480247205742326bbb0b9facaa3ba95fdbe62d9511fecf95c9fd"
+    ),
+    ("cubes " + "ba" * 15, "dinfty", 30): (
+        0, "ce1eadbbdfc19b3885561dd931574130717779ba486e1333c578ff1ff1d274b1"
+    ),
+    ("export", "dinfty", 30): (
+        0, "5b8d1c9b6c0293518a70a00b8ad18d3bedcf1353470969d866a952bb8433927a"
+    ),
+    ("export --format dot", "dinfty", 30): (
+        0, "18ad49df1a095956e53c7af4adfe682db589786102aa12fc2d3b012ffde8e906"
+    ),
+    ("export", "K5", 5): (
+        0, "65e6c76013987add08d52d9f5edd1eeeec84a527b774cc84846b52e2f1e7bc5e"
+    ),
+    ("export --format dot", "K5", 5): (
+        0, "9d7018b1da90aa550fceff637fae101366f8df43d769ba2ea17971329e514e6d"
+    ),
+    ("gamma", "square", None): (
+        0, "e9ab79bb1db25dcf6145efe4c0d5afa4aaf82477ac976076342c00decbd1b21c"
+    ),
+    ("gamma", "dinfty", None): (
+        0, "76d3a47af67d6cd55feee238c892e8066f7c1a4a51ecb38655f80fe54113f770"
+    ),
+    ("gamma", "pentagon", None): (
+        0, "37e4245f91f5c7c15e1e3a568c0d6fa29fa940f66742c566eb4918123e42fd12"
+    ),
+    ("gamma", "grid", None): (
+        0, "6d705b4779690c0b3abbccf7d699f9cb5d3784f8bf3efe4a0893407ad5af3bf3"
+    ),
+    ("gamma", "K6", None): (
+        0, "5c5cd770f7e7954119ff35c0d8c28f40f8ecee2a0ee2f0a81a86b3f8bcfd400d"
+    ),
+    ("maxclique", "square", None): (
+        0, "3e0529f999136e8e7bdef5bbb813a664e06d0b8a3efc5691d67205616b2c8dd0"
+    ),
+    ("maxclique", "dinfty", None): (
+        0, "92260ea0cbd70738c0bccba89c8dbf5881ec50d1a09891ea531aa254a783c9cd"
+    ),
+    ("maxclique", "pentagon", None): (
+        0, "1b870f2af0b7677ed6d470df499de6defe72c79ef7bf55b33500bec52d8d3e79"
+    ),
+    ("maxclique", "grid", None): (
+        0, "0fa246bc6bd99edb6efd950e59d06cdc43d6e4c6d02bdd1b07e945feb7c06929"
+    ),
+    ("maxclique", "K6", None): (
+        0, "1d959562173b4a859ee7f052f4510e189317bb623ee757a17d7d2986af54d16b"
+    ),
+    ("cliques", "square", None): (
+        0, "37a0bcd7d167adaaa6f301c8a40e372b88aa42c5c45d8ab5ebbab23ab11baf34"
+    ),
+    ("cliques", "dinfty", None): (
+        0, "63db573c9605e8c533d5c35868bb5209a085f9e3076bec4fbbfd8cfeea1e39b9"
+    ),
+    ("cliques", "pentagon", None): (
+        0, "0eb3ea35898984134966c168c1a5ec49b4d87a2ab57516c66dd6742c790646c7"
+    ),
+    ("cliques", "grid", None): (
+        0, "0c3ef8b2a19ee5dea0965fbd0e9d0e685725570843f44d864c32fcff01b78695"
+    ),
+    ("cliques", "K6", None): (
+        0, "fd32c5a0d1d726171214d4a4d44de8c7eec8d5f58b2457522ebf6268b51c1e39"
+    ),
 }
 
 
 @pytest.mark.parametrize("command, name, radius", list(CLI_DIGESTS))
 def test_cli_output_is_pinned(tmp_path, capsys, command, name, radius):
-    if name == "K6":
-        path = tmp_path / "k6.json"
-        graph = complete_graph(6)
-        path.write_text(json.dumps({
-            "vertices": list(graph.labels),
-            "edges": [[graph.labels[i], graph.labels[j]] for i, j in graph.edges],
-        }))
-        source = ["--graph", str(path)]
+    if name.startswith("K"):
+        source = ["--graph", complete_graph_file(tmp_path, int(name[1:]))]
     else:
         source = ["--preset", name]
-    code = main([*command.split(), *source, "--radius", str(radius)])
+    if radius is not None:
+        source += ["--radius", str(radius)]
+    code = main([*command.split(), *source])
     captured = capsys.readouterr()
     digest = hashlib.sha256(captured.out.encode()).hexdigest()
     assert (code, digest, captured.err) == (*CLI_DIGESTS[command, name, radius], "")

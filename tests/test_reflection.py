@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from rcoxeter import (
     generator_matrix,
     identity_matrix,
@@ -31,6 +33,12 @@ def test_commuting_pair_generator_matrix():
     # the edge makes m(a, b) = 2, so the reflection fixes e_b
     assert generator_matrix(0, SQUARE) == ((-1, 0), (0, 1))
     assert generator_matrix(1, SQUARE) == ((1, 0), (0, -1))
+
+
+@pytest.mark.parametrize("g", [5, -1])
+def test_generator_index_out_of_range(g):
+    with pytest.raises(ValueError, match=f"generator index {g} out of range"):
+        generator_matrix(g, PENTAGON)
 
 
 def test_generator_matrices_are_involutions():
