@@ -29,6 +29,7 @@ from rcoxeter import (
     tits_matrix,
     word_to_text,
 )
+from rcoxeter.cli import main
 from oracles import (
     assert_same_ball,
     bfs_ball,
@@ -867,6 +868,22 @@ class TestExport:
             assert match
             text = re.sub(r"\\(.)", r"\1", match.group(1))
             assert text == (word_to_text(w, graph) or "1")
+
+
+@pytest.mark.parametrize(
+    "name, radius, format",
+    [(name, radius, format) for name, radius in (("pentagon", 6), ("grid", 5))
+     for format in ("json", "dot")],
+)
+def test_export_cli_output_is_pinned(capsys, name, radius, format):
+    # The command prints what export_complex returns for the same ball,
+    # byte for byte, and that is the output CLI_DIGESTS pins.
+    command = "export" if format == "json" else "export --format dot"
+    code = main([*command.split(), "--preset", name, "--radius", str(radius)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == export_complex(build_ball(preset(name), radius), format)
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[command, name, radius][1]
 
 
 @pytest.mark.parametrize("name, radius", [("pentagon", 6), ("K5", 5)])
