@@ -20,10 +20,6 @@ from .graphs import DefiningGraph, GraphParseError, parse_graph, preset, PRESETS
 from .words import has_order_two, multiply, parse_word, word_to_text
 
 
-class UnsupportedFormatError(ValueError):
-    """The requested output format does not apply to this report kind."""
-
-
 class _UsageError(Exception):
     pass
 
@@ -35,22 +31,6 @@ class _CliqueCapError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}")
-
-
-def format_report(value, format: str = "json") -> str:
-    """Canonical serialization of a library report, newline-terminated:
-    a report with ``as_dict`` as JSON, a ``Ball`` through ``export_complex``."""
-    if hasattr(value, "as_dict"):
-        if format != "json":
-            raise UnsupportedFormatError(
-                f"{type(value).__name__} can only be rendered as json, not {format!r}"
-            )
-        return _dump_json(value.as_dict())
-    from .davis import Ball, export_complex
-
-    if isinstance(value, Ball):
-        return export_complex(value, format)
-    raise UnsupportedFormatError(f"cannot format {type(value).__name__} reports")
 
 
 def _dump_json(payload) -> str:
@@ -77,9 +57,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rcoxeter", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(
-        name: str, help: str, radius: bool = False, fmt: bool = False, cap: str = ""
-    ):
+    def add(name: str, help: str, radius: bool = False, formats=(), cap: str = ""):
         p = sub.add_parser(name, help=help)
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--preset", choices=sorted(PRESETS), help="built-in graph")
@@ -97,8 +75,8 @@ def _build_parser() -> _Parser:
                 "--max-vertices", type=int, default=1_000_000, metavar="N",
                 help=f"abort if {cap} would exceed this many vertices",
             )
-        if fmt:
-            p.add_argument("--format", choices=("json", "dot"), default="json")
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
         return p
 
     add("nf", "shortlex normal form of a word").add_argument("word", nargs="+")
@@ -108,17 +86,21 @@ def _build_parser() -> _Parser:
     add("order", "order of an element: 1, 2 or infinity").add_argument(
         "word", nargs="+"
     )
-    add("cliques", "all spherical subsets", fmt=True, cap="the chamber")
-    add("maxclique", "the maximum spherical subset", fmt=True)
-    add("gamma", "the involution built from a maximum clique", fmt=True)
-    add("ball", "census of a Davis-complex ball", radius=True, fmt=True)
-    add("cubes", "cubes at a vertex, by dimension", radius=True, fmt=True).add_argument(
-        "word", nargs="+"
+    json_only = ("json",)
+    add("cliques", "all spherical subsets", formats=json_only, cap="the chamber")
+    add("maxclique", "the maximum spherical subset", formats=json_only)
+    add("gamma", "the involution built from a maximum clique", formats=json_only)
+    add("ball", "census of a Davis-complex ball", radius=True, formats=json_only)
+    add(
+        "cubes", "cubes at a vertex, by dimension", radius=True, formats=json_only
+    ).add_argument("word", nargs="+")
+    add("fixed", "fixed-point report for the involution", radius=True, formats=json_only)
+    add("profile", "displacement statistics per sphere", radius=True, formats=json_only)
+    add("certify", "run all checks and emit a certificate", radius=True, formats=json_only)
+    add(
+        "export", "full complex as JSON or 1-skeleton DOT", radius=True,
+        formats=("json", "dot"),
     )
-    add("fixed", "fixed-point report for the involution", radius=True, fmt=True)
-    add("profile", "displacement statistics per sphere", radius=True, fmt=True)
-    add("certify", "run all checks and emit a certificate", radius=True, fmt=True)
-    add("export", "full complex as JSON or 1-skeleton DOT", radius=True, fmt=True)
     return parser
 
 
@@ -143,11 +125,6 @@ def _word_out(word, graph: DefiningGraph) -> str:
 
 def _run(args) -> tuple[str | Iterator[str], int]:
     """The command's output, whole or in pieces, and its exit code."""
-    fmt = getattr(args, "format", "json")
-    if fmt != "json" and args.command != "export":
-        raise UnsupportedFormatError(
-            f"{args.command} output can only be rendered as json, not {fmt!r}"
-        )
     graph = _load_graph(args)
     if args.command == "nf":
         return _word_out(parse_word(" ".join(args.word), graph), graph) + "\n", 0
@@ -176,25 +153,25 @@ def _run(args) -> tuple[str | Iterator[str], int]:
         from .spherical import maximum_spherical
 
         return _dump_json([graph.labels[g] for g in maximum_spherical(graph)]), 0
-    from .davis import ball_census, build_ball, cubes_at_vertex
+    from .davis import ball_census, build_ball, cubes_at_vertex, export_complex
     from .involution import build_involution, fixed_loci
     from .probe import _census_profile, certify
 
     if args.command == "gamma":
-        return format_report(build_involution(graph), args.format), 0
+        return _dump_json(build_involution(graph).as_dict()), 0
     if args.command == "certify":
         certificate = certify(graph, args.radius, max_vertices=args.max_vertices)
-        return format_report(certificate, args.format), 0 if certificate.verdict else 2
+        return _dump_json(certificate.as_dict()), 0 if certificate.verdict else 2
     if args.command == "profile":
         _, profile = _census_profile(
             build_involution(graph), graph, args.radius, args.max_vertices
         )
-        return format_report(profile, args.format), 0
+        return _dump_json(profile.as_dict()), 0
     if args.command in ("ball", "fixed"):
         census = ball_census(graph, args.radius, max_vertices=args.max_vertices)
         if args.command == "ball":
-            return format_report(census, args.format), 0
-        return format_report(fixed_loci(build_involution(graph), census), args.format), 0
+            return _dump_json(census.as_dict()), 0
+        return _dump_json(fixed_loci(build_involution(graph), census).as_dict()), 0
     ball = build_ball(graph, args.radius, max_vertices=args.max_vertices)
     if args.command == "cubes":
         vertex = parse_word(" ".join(args.word), graph)
@@ -219,7 +196,7 @@ def _run(args) -> tuple[str | Iterator[str], int]:
         }
         return _dump_json(payload), 0
     if args.command == "export":
-        return format_report(ball, args.format), 0
+        return export_complex(ball, args.format), 0
     raise AssertionError(f"unhandled command {args.command}")
 
 

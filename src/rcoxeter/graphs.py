@@ -13,6 +13,7 @@ lexicographic order used by shortlex normal forms.
 from __future__ import annotations
 
 import json
+from typing import Iterator
 
 
 class GraphParseError(ValueError):
@@ -33,6 +34,14 @@ class UnknownLabelError(GraphParseError):
 
 class EmptyVertexListError(GraphParseError):
     """The description declares no generators."""
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a nonnegative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _Frozen:
@@ -99,17 +108,24 @@ class DefiningGraph(_Frozen):
         n = len(self.labels)
         if len(self.neighbor_masks) != n:
             raise GraphParseError("adjacency size does not match label count")
+        # Bit j of columns[i] is bit i of mask j, set one edge at a time, so a
+        # mask that differs from its column names its first asymmetric
+        # partner without a test of all n^2 pairs.
+        columns = [0] * n
+        for j, mask in enumerate(self.neighbor_masks):
+            for i in _bits(mask & (1 << n) - 1):
+                columns[i] |= 1 << j
         for i, mask in enumerate(self.neighbor_masks):
             if mask >> n:
                 raise GraphParseError("adjacency refers to unknown generator index")
             if mask >> i & 1:
                 raise SelfLoopError(f"self-loop at {self.labels[i]!r}")
-            for j in range(n):
-                if (mask >> j & 1) != (self.neighbor_masks[j] >> i & 1):
-                    raise GraphParseError(
-                        f"adjacency not symmetric between {self.labels[i]!r} "
-                        f"and {self.labels[j]!r}"
-                    )
+            if mask != columns[i]:
+                j = next(_bits(mask ^ columns[i]))
+                raise GraphParseError(
+                    f"adjacency not symmetric between {self.labels[i]!r} "
+                    f"and {self.labels[j]!r}"
+                )
 
     @classmethod
     def from_edges(

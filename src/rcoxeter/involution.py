@@ -36,9 +36,9 @@ from __future__ import annotations
 from itertools import combinations, islice
 from typing import NamedTuple
 
-from .davis import Ball, BallCensus, Cube, canonical_cube
-from .graphs import DefiningGraph
-from .spherical import Clique, _bits, _clique_levels, _mask_of, maximum_spherical
+from .davis import Ball, BallCensus, Cube
+from .graphs import DefiningGraph, _bits
+from .spherical import Clique, _clique_levels, _mask_of, maximum_spherical
 from .words import IDENTITY, Word, conjugate, multiply, support, word_to_text
 
 
@@ -194,10 +194,9 @@ def fixed_loci(inv: Involution, ball: Ball | BallCensus) -> FixedPointReport:
                 center=tuple("midpoint" if g in flipped else "free" for g in cube.axis),
             )
         )
-    home = canonical_cube(IDENTITY, inv.clique, graph)
-    unique = (
-        len(loci) == 1 and loci[0].dimension == 0 and loci[0].cube == home
-    )
+    # The guard in ``invariant_cubes`` has checked the clique is ascending.
+    home = Cube(IDENTITY, inv.clique)
+    unique = len(loci) == 1 and loci[0].dimension == 0 and loci[0].cube == home
     return FixedPointReport(
         graph=graph,
         involution=inv,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import DefiningGraph, _Frozen
+from .graphs import DefiningGraph, _Frozen, _bits
 
 #: A spherical subset: a strictly increasing tuple of generator indices.
 Clique = tuple[int, ...]
@@ -27,13 +27,6 @@ def _mask_of(subset: Iterable[int], n: int) -> int:
             raise ValueError(f"generator index {g} out of range")
         mask |= 1 << g
     return mask
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def is_spherical(subset: Iterable[int], graph: DefiningGraph) -> bool:

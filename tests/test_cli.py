@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,9 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcoxeter import all_cliques, build_ball, certify, parse_graph, preset
-from rcoxeter.cli import UnsupportedFormatError, format_report, main
+from rcoxeter import all_cliques, certify, parse_graph, preset
+from rcoxeter.cli import main
 from oracles import complete_graph_file
+
+
+COMMANDS = (
+    "nf", "mul", "order", "cliques", "maxclique", "gamma",
+    "ball", "cubes", "fixed", "profile", "certify", "export",
+)
+RADIUS_COMMANDS = ("ball", "cubes", "fixed", "profile", "certify", "export")
+JSON_ONLY_COMMANDS = (
+    "cliques", "maxclique", "gamma", "ball", "cubes", "fixed", "profile", "certify",
+)
 
 
 def run(capsys, *argv):
@@ -324,15 +335,33 @@ class TestCertify:
         assert out == ""
         assert "json" in err
 
-    @pytest.mark.parametrize("command", ["ball", "cubes", "fixed", "profile", "certify"])
+    @pytest.mark.parametrize("command", JSON_ONLY_COMMANDS)
     def test_dot_is_rejected_before_the_ball_is_built(self, capsys, command):
+        # Each cap is set so that a run would exit 3 or print: exit 1 with
+        # no output comes from the parser.
         words = ["e"] if command == "cubes" else []
+        caps = (
+            ["--radius", "6", "--max-vertices", "10"] if command in RADIUS_COMMANDS
+            else ["--max-vertices", "1"] if command == "cliques" else []
+        )
         code, out, err = run(
-            capsys, command, "--preset", "pentagon", "--radius", "6",
-            "--max-vertices", "10", "--format", "dot", *words,
+            capsys, command, "--preset", "pentagon", *caps, "--format", "dot", *words,
         )
         assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"rcoxeter {command}: error: argument --format: ")
         assert "json" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_offers_dot_on_export_only(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        choices = re.findall(r"--format \{([^}]*)\}", capsys.readouterr().out)
+        if command == "export":
+            assert set(choices) == {"json,dot"}
+        elif command in JSON_ONLY_COMMANDS:
+            assert set(choices) == {"json"}
+        else:
+            assert choices == []
 
     def test_radius_precondition_is_usage_error(self, capsys):
         code, _, err = run(capsys, "certify", "--preset", "pentagon", "--radius", "1")
@@ -501,25 +530,6 @@ class TestOutputTarget:
         assert main(["--help"]) == 0
 
 
-class TestFormatReport:
-    def test_ball_json(self):
-        ball = build_ball(preset("square"), 2)
-        assert json.loads(format_report(ball, "json"))["radius"] == 2
-
-    def test_certificate_dot_unsupported(self):
-        with pytest.raises(UnsupportedFormatError):
-            format_report(certify(preset("square"), 2), "dot")
-
-    def test_unknown_kind_unsupported(self):
-        with pytest.raises(UnsupportedFormatError):
-            format_report(object())
-
-
-COMMANDS = (
-    "nf", "mul", "order", "cliques", "maxclique", "gamma",
-    "ball", "cubes", "fixed", "profile", "certify", "export",
-)
-RADIUS_COMMANDS = ("ball", "cubes", "fixed", "profile", "certify", "export")
 JUNK = (
     "", "zz", "a b", "v9", "-1", "x", "--radius", "--preset", "--help",
     "--max-vertices", "{", "ab" * 7, "nope",

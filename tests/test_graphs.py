@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -144,8 +145,22 @@ def test_unknown_label_lookup():
 
 
 def test_constructor_rejects_asymmetric_masks():
-    with pytest.raises(GraphParseError, match="symmetric"):
-        DefiningGraph(("a", "b"), (0b10, 0b00))
+    # Whichever side holds the edge, the pair is named in label order.
+    for masks in ((0b10, 0b00), (0b00, 0b01)):
+        with pytest.raises(
+            GraphParseError, match="^adjacency not symmetric between 'a' and 'b'$"
+        ):
+            DefiningGraph(("a", "b"), masks)
+
+
+def test_symmetry_check_scales_with_edges_not_pairs():
+    # A test of all n^2 pairs takes about half a minute at this size; with
+    # no edges the check reads only the n empty masks.
+    n = 20_000
+    start = time.perf_counter()
+    graph = DefiningGraph(tuple(f"v{i}" for i in range(n)), (0,) * n)
+    assert time.perf_counter() - start < 1.0
+    assert graph.n == n
 
 
 def test_from_edges_rejects_an_edge_without_two_endpoints():

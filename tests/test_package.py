@@ -124,6 +124,10 @@ class TestCommandImports:
     def test_bad_word_loads_only_graphs_and_words(self):
         assert self.loaded("nf", "--preset", "square", "xyz") == (1, WORD_MODULES)
 
+    def test_dot_on_a_json_command_loads_only_graphs_and_words(self):
+        argv = ("certify", "--preset", "square", "--radius", "2", "--format", "dot")
+        assert self.loaded(*argv) == (1, WORD_MODULES)
+
     def test_clique_commands_add_spherical(self):
         expected = sorted(WORD_MODULES + ["rcoxeter.spherical"])
         assert self.loaded("cliques", "--preset", "grid") == (0, expected)
