@@ -14,17 +14,20 @@ coordinate flips.
 Everything here reads the cubes based within R - k, for a ball of radius
 R and a maximal clique C of size k, and needs only the graph and the
 radius: a ball and its census serve alike, and no ``Ball`` is built.
-The search for invariant cubes is complete over the subgroup W_C alone.
 An invariant cube (g, T) has g^-1 * gamma * g in W_T, a product of
 distinct commuting generators, so g moves by at most k.  By the
 left-descent lemma proven in ``probe``, g moves by 2|g| + k - 2m,
 where m counts the generators of C that are left descents of g; m is at
 most |g|, so m = |g|.  The product of those m descents is a left factor
-of g of length |g|, so g is that product, a subset of C.
-``invariant_cubes`` therefore conjugates the at most 2^k subsets of C and
-walks no sphere, and ``fixed_loci`` conjugates the bases of the invariant
-cubes once more.  W_C is abelian, so each subset conjugates gamma to
-gamma itself; the search tests that rather than assume it.
+of g of length |g|, so g is that product, a subset S of C.  W_C is
+abelian, so S conjugates gamma to gamma itself and every axis of C
+flips.  The axis T holds the flips, so it contains C and, C being
+maximal, is C; and it misses the descents of its base S, so S is empty.
+``invariant_cubes`` therefore returns the one cube (e, C) once R >= k,
+after k conjugations: it tests that each generator of C conjugates
+gamma to gamma rather than assume it, and conjugation by a subset is
+the composite of those.  ``fixed_loci`` conjugates the base of that
+cube once more.
 
 The expected picture, verified here on finite balls: one invariant cube,
 based at the identity on the clique itself, carrying an isolated
@@ -33,12 +36,11 @@ fixed point at its center.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
 from typing import NamedTuple
 
 from .davis import Ball, BallCensus, Cube
 from .graphs import DefiningGraph, _bits
-from .spherical import Clique, _clique_levels, _mask_of, maximum_spherical
+from .spherical import Clique, _mask_of, maximum_spherical
 from .words import IDENTITY, Word, conjugate, multiply, support, word_to_text
 
 
@@ -99,40 +101,23 @@ def _support_mask(word: Word) -> int:
 
 def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...]:
     """All reliably-complete cubes mapped to themselves by the involution,
-    in the order of ``Ball.cubes``.
+    in the order of ``Ball.cubes``: the home cube (e, C) when the radius
+    is at least k, else none.
 
-    The bases tried are the elements of W_C no longer than the reliable
-    radius, the subsets S of the clique in shortlex order; each is its own
-    normal form and its descents are S.  The cube (S, T) is invariant iff
-    T misses S, so that S is the base, and the support of S^-1 * gamma * S
-    is contained in T.  So the axes tried are that support, the flips, when
-    it is a clique missing S, joined with each clique ``_clique_levels``
-    lists from a root set: the generators adjacent to every flip and in
-    neither S nor the flips.  The axes are sorted lexicographically.  The
-    clique must be maximal and ``inv`` its product, or ``ValueError`` is
-    raised: a cube outside W_C may be invariant.
+    By the argument in the module docstring an invariant cube is based in
+    W_C, and then it is (e, C).  Each generator s of C is checked to
+    conjugate gamma to gamma, so that all of C flips; if one does not, no
+    cube is returned.  The clique must be maximal and ``inv`` its product,
+    or ``ValueError`` is raised: a cube outside W_C may be invariant.
     """
     graph = ball.graph
     _maximal_clique(inv, graph)
-    found: list[Cube] = []
-    for r in range(min(inv.n, ball.radius - inv.n) + 1):
-        room = ball.radius - r
-        for base in combinations(inv.clique, r):
-            descents = _support_mask(base)
-            flips = _support_mask(conjugate(base, inv.element, graph))
-            near = _near(flips, graph)
-            if flips & ~near or flips & descents:
-                continue
-            # An axis has at most ``room`` generators, and no clique more
-            # than n: the smaller bound keeps islice's stop an index.
-            flipped = tuple(_bits(flips))
-            levels = islice(
-                _clique_levels(graph.n, graph.neighbor_masks, near & ~flips & ~descents),
-                min(room, graph.n) + 1 - len(flipped),
-            )
-            axes = [tuple(sorted(flipped + c)) for level in levels for c, _ in level]
-            found.extend(Cube(base, axis) for axis in sorted(axes))
-    return tuple(found)
+    if ball.radius < inv.n:
+        return ()
+    gamma = inv.element
+    if any(conjugate((s,), gamma, graph) != gamma for s in inv.clique):
+        return ()
+    return (Cube(IDENTITY, inv.clique),)
 
 
 class FixedLocus(NamedTuple):
@@ -209,13 +194,19 @@ def fixed_loci(inv: Involution, ball: Ball | BallCensus) -> FixedPointReport:
 def antipodal_check(inv: Involution, graph: DefiningGraph) -> bool:
     """Verify the involution acts antipodally on its home cube.
 
-    Identify each element of the finite subgroup spanned by the clique with
-    its support indicator vector; multiplying by the involution must
-    complement every coordinate, the discrete antipodal map.  The subsets
-    are visited in Gray-code order, each one letter away from the last, so
-    each product is the previous one times one generator: one ``multiply``
-    per nonempty subset and memory linear in the clique.  Raises
-    ``ValueError`` unless ``inv`` is the product of a maximal clique.
+    Identify each element of W_C, the finite subgroup spanned by the
+    clique, with its support indicator vector; multiplying by the
+    involution must complement every coordinate, the discrete antipodal
+    map.  The check makes k one-letter products, one per generator s of
+    C, and tests that supp(gamma * s) = C - {s}; supp(gamma) = C holds
+    already, as the guard has checked that gamma is spelled by C.  That
+    covers all 2^k elements.  W_C is (Z/2)^k with the support as
+    coordinates: every element is the product of its distinct, commuting
+    support letters, and a product adds supports mod 2.  So gamma, whose
+    support is all of C, adds the all-ones vector, and gamma * x has
+    support C - supp(x) for every x in W_C; the generators determine the
+    rest.  Raises ``ValueError`` unless ``inv`` is the product of a
+    maximal clique.
     """
     _maximal_clique(inv, graph)
     return _antipodal(inv, graph)
@@ -224,12 +215,8 @@ def antipodal_check(inv: Involution, graph: DefiningGraph) -> bool:
 def _antipodal(inv: Involution, graph: DefiningGraph) -> bool:
     """``antipodal_check`` for an involution that has passed
     ``_maximal_clique``."""
-    clique = inv.clique
-    product, bits, full = inv.element, 0, _support_mask(clique)
-    for step in range(1, 1 << len(clique)):
-        if _support_mask(product) != full ^ bits:
-            return False
-        g = clique[(step & -step).bit_length() - 1]
-        product = multiply(product, (g,), graph)
-        bits ^= 1 << g
-    return _support_mask(product) == full ^ bits
+    gamma, full = inv.element, _support_mask(inv.clique)
+    return all(
+        _support_mask(multiply(gamma, (s,), graph)) == full ^ (1 << s)
+        for s in inv.clique
+    )

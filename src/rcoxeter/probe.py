@@ -43,6 +43,11 @@ have only letters adjacent to s in between.
    adjacent to all of C, and C would not be a maximal clique.  Hence
    |u^-1 * gamma * u| = 2|u| + k = 2|w| + k - 2|LD(w) & C|.
 
+By step 1 again, gamma * w = (gamma * c) * u with gamma * c in W_C of
+support C - supp(c), so |gamma * w| = |w| + k - 2|LD(w) & C|, and hence
+the Gromov product (w | gamma * w)_e, half of |w| + |gamma * w| less the
+displacement, is 0.
+
 ``displacement_profile`` reads the profile off the growth series.  By
 step 1, W(t) = (1+t)^k * Q(t), where Q(t) counts the u by length, so
 Q(t) = 1/P(t) in the notation of ``davis``: q_l = [t^l] Q(t) is entry 0
@@ -65,7 +70,8 @@ ball, walks no sphere and makes one walk of the growth series: one clique
 search gives k, one clique count the series, and one loop up to the
 radius enforces the vertex cap, hands the profile q_0, ..., q_(R-k) and
 keeps the last k + 1 cumulative columns, off which the census reads the
-cells.  The fixed loci come from the subsets of the clique.
+cells.  The fixed locus takes k conjugations, one per generator of the
+clique, and the antipodal check k one-letter products.
 """
 
 from __future__ import annotations

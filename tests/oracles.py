@@ -10,10 +10,13 @@ are rebuilt by a breadth-first search that finds vertices and cubes with
 ``multiply`` instead of the shortlex automaton of ``rcoxeter.davis``.  The
 conjugates, invariant cubes and displacement profile of the involution are
 recomputed by walking an enumerated ball, where the library enumerates
-no vertex.  The library counts the displacements of each sphere by left
-descents off the growth series and looks for invariant cubes in the
-clique's subgroup alone; ``sphere_states`` and ``multiply_walk`` redo both the way it was
-done before, in one walk that multiplies out every vertex's conjugate,
+no vertex.  ``subset_invariant_cubes`` and ``gray_code_antipodal`` keep
+the library's former search over every subset of the clique, where it
+now makes one conjugation or product per generator.  The library
+counts the displacements of each sphere by left descents off the growth
+series and looks for invariant cubes in the clique's subgroup alone;
+``sphere_states`` and ``multiply_walk`` redo both the way it was done
+before, in one walk that multiplies out every vertex's conjugate,
 ``bitmask_walk`` reads each displacement off two bitmasks per automaton
 state, the way the library did before it read the profile off the growth
 series, ``left_descents`` finds left descents by multiplication, and
@@ -78,7 +81,9 @@ from rcoxeter import (
     word_to_text,
 )
 from rcoxeter.davis import _growth_columns
-from rcoxeter.spherical import _clique_counts, _mask_of
+from rcoxeter.graphs import _bits
+from rcoxeter.involution import _near, _support_mask
+from rcoxeter.spherical import _clique_counts, _clique_levels, _mask_of
 
 
 def determinant(matrix: Matrix) -> int:
@@ -714,6 +719,59 @@ def filtered_invariant_cubes(inv: Involution, ball: Ball) -> tuple[Cube, ...]:
         for cube in ball.cubes
         if cube.base in conj and support(conj[cube.base]) <= set(cube.axis)
     )
+
+
+def subset_invariant_cubes(inv: Involution, ball) -> tuple[Cube, ...]:
+    """``invariant_cubes`` the way the library did before it made one
+    conjugation per generator: a search over the at most 2^k subsets S of
+    the maximal clique, each conjugated through this module's
+    ``conjugate``.
+
+    Each S is its own normal form and its descents are S.  The cube (S, T)
+    is invariant iff T misses S and the support of S^-1 * gamma * S, the
+    flips, is contained in T.  So the axes tried are the flips, when they
+    form a clique missing S, joined with each clique ``_clique_levels``
+    lists from the generators adjacent to every flip and in neither S nor
+    the flips, no longer than the radius left; they are sorted
+    lexicographically.
+    """
+    graph = ball.graph
+    found: list[Cube] = []
+    for r in range(min(inv.n, ball.radius - inv.n) + 1):
+        room = ball.radius - r
+        for base in itertools.combinations(inv.clique, r):
+            descents = _support_mask(base)
+            flips = _support_mask(conjugate(base, inv.element, graph))
+            near = _near(flips, graph)
+            if flips & ~near or flips & descents:
+                continue
+            # An axis has at most ``room`` generators, and no clique more
+            # than n: the smaller bound keeps islice's stop an index.
+            flipped = tuple(_bits(flips))
+            levels = itertools.islice(
+                _clique_levels(graph.n, graph.neighbor_masks, near & ~flips & ~descents),
+                min(room, graph.n) + 1 - len(flipped),
+            )
+            axes = [tuple(sorted(flipped + c)) for level in levels for c, _ in level]
+            found.extend(Cube(base, axis) for axis in sorted(axes))
+    return tuple(found)
+
+
+def gray_code_antipodal(inv: Involution, graph: DefiningGraph) -> bool:
+    """``antipodal_check`` the way the library did before it checked the
+    generators alone: every element of W_C times gamma, the subsets
+    visited in Gray-code order, each one letter away from the last, so
+    that each product is the previous one times one generator through
+    this module's ``multiply``."""
+    clique = inv.clique
+    product, bits, full = inv.element, 0, _support_mask(clique)
+    for step in range(1, 1 << len(clique)):
+        if _support_mask(product) != full ^ bits:
+            return False
+        g = clique[(step & -step).bit_length() - 1]
+        product = multiply(product, (g,), graph)
+        bits ^= 1 << g
+    return _support_mask(product) == full ^ bits
 
 
 def walked_profile(inv: Involution, ball: Ball) -> DisplacementProfile:

@@ -29,6 +29,7 @@ from rcoxeter import (
 from rcoxeter.cli import main
 from oracles import (
     brute_force_cliques,
+    complete_graph,
     displacement,
     matrix_ball_sphere_sizes,
     random_graph,
@@ -171,6 +172,25 @@ def test_certify_is_linear_on_a_long_line():
     assert profile.mins == tuple(max(1, 2 * r - 1) for r in profile.radii)
     assert profile.maxs == tuple(2 * r + 1 for r in profile.radii)
     assert elapsed < 2.0
+
+
+def test_certify_on_a_large_clique_makes_k_checks():
+    # K18 at radius 36 covers the whole group (Z/2)^18 twice over.  The
+    # fixed locus and the antipodal action take one conjugation and one
+    # product per generator, so neither visits the 2^18 subsets of the
+    # clique, and certify is left with the census of the group.
+    k18 = complete_graph(18)
+    start = time.perf_counter()
+    certificate = certify(k18, 36)
+    certify_s = time.perf_counter() - start
+    assert certificate.verdict
+    census = ball_census(k18, 36)
+    start = time.perf_counter()
+    report = fixed_loci(build_involution(k18), census)
+    fixed_s = time.perf_counter() - start
+    assert report.unique_point
+    assert certify_s < 2.0
+    assert fixed_s < 2.0
 
 
 def test_criterion_8_certify_determinism(capsys):

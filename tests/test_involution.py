@@ -1,7 +1,6 @@
 import random
 import tracemalloc
 from itertools import combinations
-from math import comb
 
 import pytest
 
@@ -27,13 +26,16 @@ from rcoxeter import (
     spherical_poset,
     support,
 )
+import oracles
 from oracles import (
     complete_graph,
     conjugates,
     filtered_invariant_cubes,
+    gray_code_antipodal,
     lex_cliques,
     maximal_elements,
     random_graph,
+    subset_invariant_cubes,
     walked_conjugates,
     walked_profile,
 )
@@ -202,9 +204,10 @@ class TestMaximalCliques:
 
 
 class TestAxesTried:
-    """The axes ``invariant_cubes`` builds from the flipped generators are
-    the cliques a filter over every clique keeps, also where the flips are
-    not the whole clique, as a wrong conjugation would make them."""
+    """The axes the subset search ``oracles.subset_invariant_cubes`` builds
+    from the flipped generators are the cliques a filter over every clique
+    keeps, also where the flips are not the whole clique, as a wrong
+    conjugation would make them."""
 
     @staticmethod
     def filtered(inv, ball, flips_of):
@@ -224,8 +227,6 @@ class TestAxesTried:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_any_flips(self, monkeypatch, seed):
-        import rcoxeter.involution as involution_module
-
         rng = random.Random(seed)
         graph = random_graph(rng)
         inv = build_involution(graph)
@@ -237,11 +238,61 @@ class TestAxesTried:
             return picks[base]
 
         monkeypatch.setattr(
-            involution_module, "conjugate", lambda base, element, graph: flips_of(base)
+            oracles, "conjugate", lambda base, element, graph: flips_of(base)
         )
         for radius in range(inv.n, inv.n + 4):
             census = ball_census(graph, radius)
-            assert invariant_cubes(inv, census) == self.filtered(inv, census, flips_of)
+            assert subset_invariant_cubes(inv, census) == self.filtered(
+                inv, census, flips_of
+            )
+
+
+class TestGeneratorChecks:
+    """One conjugation, and one product, per generator of the clique give
+    the answers of the former searches over all 2^k of its subsets, and a
+    conjugation that moves gamma for one generator is caught."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(26)
+        for _ in range(60):
+            graph = random_graph(rng)
+            for clique in maximal_elements(spherical_poset(graph)):
+                yield graph, clique_involution(graph, clique)
+        for n in range(1, 13):
+            graph = complete_graph(n)
+            yield graph, build_involution(graph)
+
+    def test_subset_searches_agree(self):
+        tried = 0
+        for graph, inv in self.cases():
+            k = inv.n
+            for radius in (k - 1, k, 2 * k):
+                census = ball_census(graph, radius, max_vertices=10**8)
+                assert invariant_cubes(inv, census) == subset_invariant_cubes(inv, census)
+            assert antipodal_check(inv, graph) == gray_code_antipodal(inv, graph)
+            tried += 1
+        assert tried == 175 + 12
+
+    @pytest.mark.parametrize(
+        "graph",
+        ALL_PRESETS + (complete_graph(4),),
+        ids=("square", "dinfty", "pentagon", "grid", "K4"),
+    )
+    def test_conjugate_that_moves_gamma_fails(self, monkeypatch, graph):
+        import rcoxeter.involution as involution_module
+
+        inv = build_involution(graph)
+        moved = inv.clique[-1]
+
+        def wrong(g, x, graph):
+            return x + (moved,) if g == (moved,) else conjugate(g, x, graph)
+
+        monkeypatch.setattr(involution_module, "conjugate", wrong)
+        assert invariant_cubes(inv, ball_census(graph, 6)) == ()
+        certificate = certify(graph, 6)
+        assert not certificate.unique_fixed_point
+        assert not certificate.verdict
 
 
 class TestConjugates:
@@ -286,9 +337,10 @@ class TestConjugates:
 
 
 class TestOneWalk:
-    """``certify`` walks no sphere: the fixed loci come from the subsets of
-    the clique and the profile from the growth series.  Only ``build_ball``
-    walks the shortlex automaton, and it builds one ``Ball``."""
+    """``certify`` walks no sphere: the fixed locus comes from one check per
+    generator of the clique and the profile from the growth series.  Only
+    ``build_ball`` walks the shortlex automaton, and it builds one
+    ``Ball``."""
 
     @pytest.mark.parametrize(
         "graph, radius",
@@ -323,9 +375,9 @@ class TestOneWalk:
         ids=("pentagon-r8", "dinfty-r100", "K6-r6"),
     )
     def test_conjugations_per_certify(self, monkeypatch, graph, radius):
-        # ``invariant_cubes`` conjugates each element of W_C no longer than
-        # the reliable radius, and ``fixed_loci`` the base of each invariant
-        # cube, all through the module-level ``conjugate``; the profile
+        # ``invariant_cubes`` conjugates gamma by each generator of the
+        # clique, and ``fixed_loci`` by the base of each invariant cube,
+        # all through the module-level ``conjugate``; the profile
         # conjugates and multiplies nothing.
         import rcoxeter.davis as davis_module
         import rcoxeter.involution as involution_module
@@ -352,8 +404,7 @@ class TestOneWalk:
         cubes = len(invariant_cubes(inv, census))
         calls.clear()
         assert certify(graph, radius).verdict
-        bases = sum(comb(inv.n, r) for r in range(min(inv.n, radius - inv.n) + 1))
-        assert calls == [("rcoxeter.involution", "conjugate")] * (bases + cubes)
+        assert calls == [("rcoxeter.involution", "conjugate")] * (inv.n + cubes)
 
     @pytest.mark.parametrize(
         "graph, radius, bound",
@@ -422,9 +473,9 @@ class TestOneWalk:
 
 
 class TestStreamingAgainstBallWalk:
-    """The search of W_C and the profile read off the growth series against
-    references that walk an enumerated ball, given the ball itself and its
-    census."""
+    """The home cube found by the generator checks and the profile read off
+    the growth series against references that walk an enumerated ball,
+    given the ball itself and its census."""
 
     @staticmethod
     def assert_same(graph, radius):
@@ -553,8 +604,8 @@ class TestAntipodal:
             graph = random_graph(rng)
             assert antipodal_check(build_involution(graph), graph)
 
-    def test_gray_code_makes_one_letter_products(self, monkeypatch):
-        # Each nonempty subset is the previous one times one generator.
+    def test_one_letter_product_per_generator(self, monkeypatch):
+        # gamma times each generator of the clique, and nothing else.
         import rcoxeter.involution as involution_module
 
         graph = complete_graph(6)
@@ -567,8 +618,7 @@ class TestAntipodal:
 
         monkeypatch.setattr(involution_module, "multiply", recorded)
         assert antipodal_check(inv, graph)
-        assert len(letters) == 2**6 - 1
-        assert all(len(y) == 1 for y in letters)
+        assert letters == [(s,) for s in inv.clique]
 
     @pytest.mark.parametrize(
         "graph, element, clique, n",
@@ -586,6 +636,28 @@ class TestAntipodal:
         inv = Involution(element=(0,), clique=(0,), n=1, graph=SQUARE)
         with pytest.raises(ValueError, match="not a maximal clique"):
             antipodal_check(inv, SQUARE)
+
+    @pytest.mark.parametrize(
+        "graph",
+        (SQUARE, PENTAGON, GRID, complete_graph(4)),
+        ids=("square", "pentagon", "grid", "K4"),
+    )
+    def test_product_by_the_wrong_generator_fails(self, monkeypatch, graph):
+        # gamma * s comes out as gamma * s' for the next generator s' of the
+        # clique: every support is C less one generator, the wrong one.
+        import rcoxeter.involution as involution_module
+
+        inv = build_involution(graph)
+        clique = inv.clique
+        following = dict(zip(clique, clique[1:] + clique[:1]))
+
+        def wrong(x, y, graph):
+            return multiply(x, tuple(following.get(g, g) for g in y), graph)
+
+        monkeypatch.setattr(involution_module, "multiply", wrong)
+        monkeypatch.setattr(oracles, "multiply", wrong)
+        assert not antipodal_check(inv, graph)
+        assert not gray_code_antipodal(inv, graph)
 
     @pytest.mark.parametrize(
         "wrong",

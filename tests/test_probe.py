@@ -132,8 +132,11 @@ class TestCertify:
         assert certificate.clique == ("v0", "v1")
 
     def test_radius_precondition(self):
-        with pytest.raises(ValueError, match="too small"):
+        with pytest.raises(ValueError) as error:
             certify(PENTAGON, 2)
+        assert str(error.value) == (
+            "radius 2 too small; need >= 3 for a maximum clique of size 2"
+        )
         with pytest.raises(ValueError, match="finite group"):
             certify(SQUARE, 1)
 

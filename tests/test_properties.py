@@ -17,15 +17,16 @@ ball, and the bitmask flag check against the subset-by-subset reference,
 on whole balls and on balls missing one cube.  The flag check, the cube
 lists and the cube lookups must give the oracles' answers in any drawn
 order, since whichever reads a vertex first freezes its cube groups.
-The left-descent lemma is checked vertex by vertex; the invariant cubes
-found in the clique's subgroup against the walk that multiplies out every
-conjugate, and the profile read off the growth series against that walk,
-against the walk of left-descent bitmasks and against the closed form by
-inclusion-exclusion.  The census, the vertex cap and the profile are
-checked at radii up to 40, and on ``dinfty`` at 400, against the count of
-automaton states with multiplicity, and ``certify``, which reads all three
-off one walk, against separate calls.  Examples are derandomized so every
-run checks the same cases.
+The left-descent lemma is checked vertex by vertex, and so is the length
+of gamma * w, which makes the Gromov product (w | gamma * w)_e zero; the
+invariant cubes found in the clique's subgroup against the walk that
+multiplies out every conjugate, and the profile read off the growth
+series against that walk, against the walk of left-descent bitmasks and
+against the closed form by inclusion-exclusion.  The census, the vertex
+cap and the profile are checked at radii up to 40, and on ``dinfty`` at
+400, against the count of automaton states with multiplicity, and
+``certify``, which reads all three off one walk, against separate calls.
+Examples are derandomized so every run checks the same cases.
 """
 
 import random
@@ -61,6 +62,7 @@ from rcoxeter import (
     multiply,
     normal_form,
     preset,
+    spherical_poset,
     tits_matrix,
 )
 from oracles import (
@@ -74,6 +76,7 @@ from oracles import (
     greedy_canonical_cube,
     histogram_stats,
     left_descents,
+    maximal_elements,
     multiply_walk,
     per_letter_canonical_cube,
     profile_of,
@@ -280,10 +283,31 @@ def test_displacement_from_left_descents(graph):
         assert moved == 2 * len(w) + inv.n - 2 * len(left_descents(w, graph) & clique)
 
 
+def test_gamma_shortens_by_its_left_descents():
+    """The Gromov-product property, vertex by vertex: |gamma * w| is
+    |w| + k - 2|LD(w) & C| for every maximal clique C, with the product
+    taken by ``multiply`` and LD(w) by left multiplication, so that
+    (w | gamma * w)_e is 0.  Every vertex of the balls of radius 6 of the
+    presets and of 20 random graphs is checked."""
+    rng = random.Random(6)
+    checked = 0
+    for graph in [*PRESETS.values()] + [random_graph(rng, 6) for _ in range(20)]:
+        cliques = maximal_elements(spherical_poset(graph))
+        for w in build_ball(graph, 6).vertices:
+            descents = left_descents(w, graph)
+            for clique in cliques:
+                k = len(clique)
+                image = len(multiply(clique, w, graph))
+                assert image == len(w) + k - 2 * len(descents & set(clique))
+                assert len(w) + image == len(conjugate(w, clique, graph))
+                checked += 1
+    assert checked == 130_308
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(graphs(max_generators=7))
 def test_walk_matches_multiply_walk_at_every_radius(graph):
-    """The search of W_C finds the invariant cubes, and the growth series the
+    """The generator checks find the invariant cubes, and the growth series the
     profile, of the walk that multiplies every state's conjugate and tests
     every sphere, and of the walk of left-descent bitmasks, at every radius
     up to k + 5."""
