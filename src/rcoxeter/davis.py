@@ -262,7 +262,8 @@ def _census(
     # its generators, so once the cliques of at most s generators outnumber
     # the cap, the counts so far fix the series up to t^s and the walk
     # below raises by radius s.  Each size is counted from its parents'
-    # extension masks before it is built, and no clique is ever listed.
+    # extension masks before it is built, and no clique is ever listed:
+    # cliques with equal masks are held as one mask with their number.
     by_size: list[int] = []
     for size in _clique_counts(graph.n, graph.neighbor_masks):
         by_size.append(size)

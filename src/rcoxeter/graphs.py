@@ -170,9 +170,8 @@ class DefiningGraph(_Frozen):
         """All commuting pairs as sorted index pairs, in lexicographic order."""
         return tuple(
             (i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.adjacent(i, j)
+            for i, mask in enumerate(self.neighbor_masks)
+            for j in _bits(mask >> i + 1 << i + 1)
         )
 
     @property

@@ -205,7 +205,8 @@ def certify(
     is enough there.
     """
     inv = build_involution(graph)
-    if graph.is_complete:
+    complete = graph.is_complete
+    if complete:
         if radius < graph.n:
             raise ValueError(
                 f"radius {radius} does not cover the finite group; need >= {graph.n}"
@@ -226,7 +227,7 @@ def certify(
         graph_edges=tuple(
             (graph.labels[i], graph.labels[j]) for i, j in graph.edges
         ),
-        complete=graph.is_complete,
+        complete=complete,
         radius=radius,
         reliable_radius=census.reliable_radius,
         gamma=word_to_text(inv.element, graph),
@@ -235,6 +236,6 @@ def certify(
         unique_fixed_point=report.unique_point,
         antipodal=antipodal,
         displacement_monotone=monotone,
-        boundary_note="empty boundary (finite group)" if graph.is_complete else None,
+        boundary_note="empty boundary (finite group)" if complete else None,
         verdict=verdict,
     )

@@ -61,22 +61,30 @@ def _clique_levels(
 
 def _clique_counts(n: int, masks: tuple[int, ...]) -> Iterator[int]:
     """Yield the number of cliques of each size, from the empty clique on,
-    as ``_clique_levels`` would list them, but keeping only each clique's
-    extension mask, never the clique.
+    as ``_clique_levels`` would list them.
 
-    A size is counted from its parents' masks before its own masks are
-    built, so a caller that stops on a count allocates nothing for it.
+    A size is held as a dict from extension mask to the number of its
+    cliques with that mask, never as the cliques: cliques with equal masks
+    have the same extensions, so they are counted together, and a mask
+    with no extension is dropped.  On K_n a size then holds at most n
+    masks, not C(n, d) cliques.  A size is counted from its parents' masks
+    before its own are built, so a caller that stops on a count allocates
+    nothing for it.
     """
-    level = [(1 << n) - 1]
+    level = {(1 << n) - 1: 1}
     yield 1
     while True:
-        size = sum(above.bit_count() for above in level)
+        size = sum(above.bit_count() * count for above, count in level.items())
         if not size:
             return
         yield size
-        level = [
-            above & masks[v] >> v + 1 << v + 1 for above in level for v in _bits(above)
-        ]
+        children: dict[int, int] = {}
+        for above, count in level.items():
+            for v in _bits(above):
+                child = above & masks[v] >> v + 1 << v + 1
+                if child:
+                    children[child] = children.get(child, 0) + count
+        level = children
 
 
 def all_cliques(graph: DefiningGraph) -> tuple[Clique, ...]:

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the normal-form machinery: group
 elements are identified by their exact reflection matrices, which are
 computed by plain matrix products over raw words.  Clique enumeration is
-redone by filtering all subsets.  Normal forms are also recomputed by a
+redone by filtering all subsets, and ``listed_clique_counts`` counts
+cliques by size with one extension mask per clique, where the library
+merges cliques with equal masks.  Normal forms are also recomputed by a
 two-phase algorithm (reduce to a geodesic, then sort it greedily), which
 shares no code with the one-pass step in ``rcoxeter.words``.  Davis balls
 are rebuilt by a breadth-first search that finds vertices and cubes with
@@ -228,6 +230,22 @@ def brute_force_cliques(graph: DefiningGraph) -> set[tuple[int, ...]]:
     return out
 
 
+def listed_clique_counts(n: int, masks: tuple[int, ...]) -> Iterator[int]:
+    """``spherical._clique_counts`` as it was before it merged equal
+    extension masks: one mask per clique, in a list, so a size of K_n holds
+    C(n, d) masks.  Each size is counted from its parents' masks."""
+    level = [(1 << n) - 1]
+    yield 1
+    while True:
+        size = sum(above.bit_count() for above in level)
+        if not size:
+            return
+        yield size
+        level = [
+            above & masks[v] >> v + 1 << v + 1 for above in level for v in _bits(above)
+        ]
+
+
 def lex_cliques(graph: DefiningGraph, radius: int) -> list[tuple[Clique, int]]:
     """The cliques of at most ``radius`` generators with their bitmasks, in
     lexicographic order, from ``brute_force_cliques``."""
@@ -243,15 +261,21 @@ def brute_force_maximum_clique(graph: DefiningGraph) -> tuple[int, ...]:
     return min(c for c in cliques if len(c) == best)
 
 
-def random_graph(rng: random.Random, max_vertices: int = 7) -> DefiningGraph:
-    """A random defining graph on 1..max_vertices generators."""
-    n = rng.randint(1, max_vertices)
+def random_graph(
+    rng: random.Random,
+    max_vertices: int = 7,
+    density: float = 0.5,
+    min_vertices: int = 1,
+) -> DefiningGraph:
+    """A random defining graph on min_vertices..max_vertices generators,
+    each pair commuting with probability ``density``."""
+    n = rng.randint(min_vertices, max_vertices)
     labels = tuple(f"g{i}" for i in range(n))
     edges = [
         (labels[i], labels[j])
         for i in range(n)
         for j in range(i + 1, n)
-        if rng.random() < 0.5
+        if rng.random() < density
     ]
     return DefiningGraph.from_edges(labels, edges)
 

@@ -8,8 +8,11 @@ matrix-oracle routines in ``oracles.py``, which never touch normal forms.
 import random
 import time
 
+import pytest
+
 from rcoxeter import (
     IDENTITY,
+    ResourceCapError,
     ball_census,
     build_ball,
     build_involution,
@@ -191,6 +194,24 @@ def test_certify_on_a_large_clique_makes_k_checks():
     assert report.unique_point
     assert certify_s < 2.0
     assert fixed_s < 2.0
+
+
+def test_census_of_a_large_complete_graph_merges_equal_masks():
+    # K24 has 2^24 cliques.  Cliques of one size with the same extensions
+    # are counted together, so the census holds at most 24 masks a size:
+    # it neither lists the group to certify it nor reaches the default cap
+    # by listing cliques.
+    k24 = complete_graph(24)
+    start = time.perf_counter()
+    certificate = certify(k24, 48, max_vertices=2**24)
+    certify_s = time.perf_counter() - start
+    assert certificate.verdict
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="last complete radius was 7"):
+        ball_census(k24, 24)
+    cap_s = time.perf_counter() - start
+    assert certify_s < 0.5
+    assert cap_s < 0.1
 
 
 def test_criterion_8_certify_determinism(capsys):

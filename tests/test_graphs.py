@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -13,6 +14,7 @@ from rcoxeter import (
     parse_graph,
     preset,
 )
+from oracles import complete_graph, random_graph
 
 
 def test_parse_json_square():
@@ -115,6 +117,17 @@ def test_presets():
     grid = preset("grid")
     assert grid.labels == ("a", "b", "c", "d")
     assert grid.edges == ((0, 2), (0, 3), (1, 2), (1, 3))
+
+
+def test_edges_are_the_adjacent_pairs():
+    rng = random.Random(27)
+    graphs = [preset(name) for name in ("square", "dinfty", "pentagon", "grid")]
+    graphs += [random_graph(rng, 12, density=i / 39) for i in range(40)]
+    graphs.append(complete_graph(24))
+    for g in graphs:
+        assert g.edges == tuple(
+            (i, j) for i in range(g.n) for j in range(i + 1, g.n) if g.adjacent(i, j)
+        )
 
 
 def test_unknown_preset():

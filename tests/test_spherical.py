@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -11,11 +12,14 @@ from rcoxeter import (
     preset,
     spherical_poset,
 )
-from rcoxeter.spherical import _clique_counts
+from rcoxeter import spherical
+from rcoxeter.graphs import _bits
+from rcoxeter.spherical import _clique_counts, _maximal_clique_masks
 from oracles import (
     brute_force_cliques,
     brute_force_maximum_clique,
     complete_graph,
+    listed_clique_counts,
     maximal_elements,
     random_graph,
 )
@@ -39,8 +43,10 @@ class TestIsSpherical:
             assert is_spherical((), graph)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            is_spherical({5}, SQUARE)
+        # The square has generators 0 and 1: index 2 is the first too large.
+        for g in (5, 2, -1):
+            with pytest.raises(ValueError, match=f"generator index {g} out of range"):
+                is_spherical({g}, SQUARE)
 
 
 class TestPoset:
@@ -107,20 +113,48 @@ class TestCliqueCounts:
                 by_size.pop()
             assert list(_clique_counts(graph.n, graph.neighbor_masks)) == by_size
 
-    def test_a_size_is_counted_before_it_is_built(self):
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_complete_graph_counts_are_binomials(self, n):
+        graph = complete_graph(n)
+        counts = list(_clique_counts(graph.n, graph.neighbor_masks))
+        assert counts == [comb(n, d) for d in range(n + 1)]
+        assert counts == list(listed_clique_counts(graph.n, graph.neighbor_masks))
+
+    def test_counts_match_listed_oracle(self):
+        rng = random.Random(27)
+        dense = random_graph(random.Random(0), 24, 0.85, 24)
+        graphs = [
+            *ALL_PRESETS,
+            *(random_graph(rng, 12, 0.1 + 0.85 * i / 59) for i in range(60)),
+            dense,
+        ]
+        for graph in graphs:
+            counts = list(_clique_counts(graph.n, graph.neighbor_masks))
+            assert counts == list(listed_clique_counts(graph.n, graph.neighbor_masks))
+        assert sum(_clique_counts(dense.n, dense.neighbor_masks)) == 25997
+
+    def test_a_size_is_counted_before_it_is_built(self, monkeypatch):
         # The count of the 3-cliques of K24 comes from the masks of the
-        # 2-cliques, before any mask of a 3-clique exists.
+        # 2-cliques, before any mask of a 3-clique exists: it reads the
+        # bits of the 23 masks of the 1-cliques (the 24th has no
+        # extension) to build the 22 masks of the 2-cliques, and no more.
         graph = complete_graph(24)
         counts = _clique_counts(graph.n, graph.neighbor_masks)
         assert [next(counts) for _ in range(3)] == [1, 24, 276]
+        read = []
+        monkeypatch.setattr(
+            spherical, "_bits", lambda mask: read.append(mask) or _bits(mask)
+        )
         tracemalloc.start()
         try:
             assert next(counts) == 2024
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The 276 masks of the 2-cliques, not the 2,024 of the 3-cliques.
-        assert peak < 2024 * 28
+        assert len(read) == 23
+        # The 22 merged masks of the 2-cliques peak at 2,712 bytes (Python
+        # 3.11); one mask per clique, 276 of them, peaked at 11,088.
+        assert peak < 4 * 2712
 
 
 class TestMaximumSpherical:
@@ -144,6 +178,17 @@ class TestMaximumSpherical:
         for _ in range(40):
             graph = random_graph(rng)
             assert maximum_spherical(graph) == brute_force_maximum_clique(graph)
+
+    def test_search_finds_each_maximal_clique_once(self):
+        # maximum_spherical reads only the largest cliques the search
+        # finds, so this pins the rest of its result: every maximal
+        # clique, each once, and nothing below one.
+        rng = random.Random(30)
+        graphs = list(ALL_PRESETS) + [random_graph(rng, 9) for _ in range(40)]
+        for graph in graphs:
+            found = _maximal_clique_masks(graph.n, graph.neighbor_masks)
+            cliques = sorted(tuple(_bits(mask)) for mask in found)
+            assert cliques == sorted(maximal_elements(spherical_poset(graph)))
 
     def test_size_is_max_over_poset(self):
         for graph in ALL_PRESETS:
