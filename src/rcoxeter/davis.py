@@ -30,7 +30,7 @@ from itertools import count, islice
 from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .graphs import DefiningGraph
 # all_cliques is not called here; it stays a name of this module because
@@ -249,11 +249,16 @@ def ball_census(
 
 
 def _census(
-    graph: DefiningGraph, radius: int, max_vertices: float, k: int, qs: list | None = None
+    graph: DefiningGraph,
+    radius: int,
+    max_vertices: float,
+    k: int,
+    receive: Callable[[int], object] | None = None,
 ) -> BallCensus:
-    """``ball_census`` for a maximum clique of k generators.  A list ``qs``
-    also receives q_r = [t^r] 1/P(t), the rise of entry 0 at column r, for
-    each nonempty sphere r up to radius - k, so the profile needs no walk."""
+    """``ball_census`` for a maximum clique of k generators.  A callable
+    ``receive`` is also called with q_r = [t^r] 1/P(t), the rise of entry 0
+    at column r, for r = 0, 1, ... over each nonempty sphere r up to
+    radius - k, so the displacement needs no walk of its own."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     # Only the cliques of at most ``radius`` generators are counted: a
@@ -281,8 +286,8 @@ def _census(
             break
         if column[k] > max_vertices:
             raise ResourceCapError(max_vertices, r - 1)
-        if qs is not None and r <= radius - k:
-            qs.append(column[0] - window[0][0])
+        if receive is not None and r <= radius - k:
+            receive(column[0] - window[0][0])
         window.appendleft(column)
     cells = tuple(c * col[k - d] for d, (c, col) in enumerate(zip(by_size, window)))
     return BallCensus(graph, radius, radius - k, window[0][k], cells[: radius + 1])

@@ -68,10 +68,13 @@ as the radius grows.  Complete defining graphs present finite groups whose
 boundary is empty, so they pass with an explanatory note.  It builds no
 ball, walks no sphere and makes one walk of the growth series: one clique
 search gives k, one clique count the series, and one loop up to the
-radius enforces the vertex cap, hands the profile q_0, ..., q_(R-k) and
-keeps the last k + 1 cumulative columns, off which the census reads the
-cells.  The fixed locus takes k conjugations, one per generator of the
-clique, and the antipodal check k one-letter products.
+radius enforces the vertex cap, keeps the last k + 1 cumulative columns,
+off which the census reads the cells, and hands q_0, ..., q_(R-k) one at
+a time to a receiver that keeps the last k + 1 of them and the last
+minimum.  So ``certify`` holds O(k) numbers at any radius, and only the
+``profile`` command lists the spheres.  The fixed locus takes k
+conjugations, one per generator of the clique, and the antipodal check k
+one-letter products.
 """
 
 from __future__ import annotations
@@ -126,6 +129,40 @@ def displacement_profile(
     return _census_profile(inv, graph, max(ball.radius, 0), inf)[1]
 
 
+def _most_descents(recent: deque[int]) -> int:
+    """The most left descents in C on sphere r, where ``recent[m]`` is
+    q_(r-m) for m = 0..k: the largest m with a u of length r - m.  The
+    sphere must be nonempty."""
+    most = len(recent) - 1
+    while not recent[most]:
+        most -= 1
+    return most
+
+
+class _MinimumWatch:
+    """Receives q_0, q_1, ... from ``_census`` and holds only the last k + 1
+    of them and the last minimum displacement, 2r + k - 2 * (the most left
+    descents in C) on sphere r.  ``monotone`` is False once it has dropped.
+    """
+
+    __slots__ = ("recent", "far", "low", "monotone")
+
+    def __init__(self, k: int) -> None:
+        self.recent = deque([0] * (k + 1), k + 1)
+        self.far = k  # 2r + k for the next sphere r
+        self.low = -inf
+        self.monotone = True
+
+    def receive(self, q: int) -> None:
+        recent = self.recent
+        recent.appendleft(q)
+        low = self.far - 2 * _most_descents(recent)
+        if low < self.low:
+            self.monotone = False
+        self.low = low
+        self.far += 2
+
+
 def _census_profile(
     inv: Involution, graph: DefiningGraph, radius: int, max_vertices: float
 ) -> tuple[BallCensus, DisplacementProfile]:
@@ -133,7 +170,7 @@ def _census_profile(
     the growth series: the census hands over q_0, ..., q_(radius - k)."""
     k = inv.n
     qs: list[int] = []
-    census = _census(graph, radius, max_vertices, k, qs)
+    census = _census(graph, radius, max_vertices, k, qs.append)
     # recent[m] is q_(r-m); each such u gives C(k, m) vertices c * u.
     sizes = [comb(k, m) for m in range(k + 1)]
     descents = [m * size for m, size in enumerate(sizes)]
@@ -141,12 +178,11 @@ def _census_profile(
     mins, maxs, means = [], [], []
     for r, q in enumerate(qs):
         recent.appendleft(q)
-        # The fewest and most left descents in C; the sphere is nonempty.
-        fewest, most = 0, k
+        # The fewest left descents in C; the sphere is nonempty.
+        fewest = 0
         while not recent[fewest]:
             fewest += 1
-        while not recent[most]:
-            most -= 1
+        most = _most_descents(recent)
         far = 2 * r + k
         count = sum(map(mul, sizes, recent))
         mins.append(far - 2 * most)
@@ -203,6 +239,11 @@ def certify(
     spheres of radius 0 and 1 are reliably complete; for a complete graph
     the ball saturates the finite group instead, so covering its diameter
     is enough there.
+
+    The minimum displacement is checked sphere by sphere as the census
+    walks the growth series, so memory stays O(k) at any radius.  The
+    vertex cap still reads the whole ball of the given radius, which is
+    never built: it bounds the length of that walk, not memory.
     """
     inv = build_involution(graph)
     complete = graph.is_complete
@@ -216,11 +257,12 @@ def certify(
             f"radius {radius} too small; need >= {inv.n + 1} "
             f"for a maximum clique of size {inv.n}"
         )
-    census, profile = _census_profile(inv, graph, radius, max_vertices)
+    watch = _MinimumWatch(inv.n)
+    census = _census(graph, radius, max_vertices, inv.n, watch.receive)
     report = fixed_loci(inv, census)
     order_two = has_order_two(inv.element, graph)
     antipodal = _antipodal(inv, graph)  # fixed_loci ran its guard
-    monotone = profile.monotone
+    monotone = watch.monotone
     verdict = order_two and report.unique_point and antipodal and monotone
     return Certificate(
         graph_labels=graph.labels,

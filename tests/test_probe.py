@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from math import inf
 from time import perf_counter
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from rcoxeter import (
     IDENTITY,
     BallCensus,
+    DisplacementProfile,
     ball_census,
     build_ball,
     build_involution,
@@ -14,7 +17,10 @@ from rcoxeter import (
     preset,
     sphere,
 )
+from rcoxeter import probe
 from rcoxeter.cli import main
+from rcoxeter.davis import _census
+from rcoxeter.probe import _MinimumWatch
 from oracles import (
     closed_form_spheres,
     complete_graph,
@@ -59,6 +65,16 @@ class TestProfile:
         assert profile.maxs == (1, 3, 5, 7)
         assert profile.means == (1.0, 2.0, 4.0, 6.0)
         assert profile.monotone
+
+    def test_monotone_compares_each_sphere_with_the_next(self):
+        # No series drops its minimum, so build the profiles by hand.
+        def monotone(mins):
+            radii = tuple(range(len(mins)))
+            return DisplacementProfile(radii, mins, mins, mins).monotone
+
+        assert monotone(()) and monotone((4,)) and monotone((1, 1, 3))
+        assert not monotone((3, 1, 5))
+        assert not monotone((1, 3, 3, 2))
 
     def test_square_profile_constant(self):
         profile = displacement_profile(build_involution(SQUARE), build_ball(SQUARE, 4))
@@ -182,6 +198,41 @@ class TestCertify:
         assert certificate.gamma == "a"
         assert certificate.boundary_note == "empty boundary (finite group)"
 
+    @pytest.mark.parametrize("check", ["order_two", "fixed", "antipodal", "monotone"])
+    def test_one_failed_check_fails_the_verdict(self, monkeypatch, check):
+        # Every check passes on a real graph, so fail one by hand.
+        if check == "order_two":
+            monkeypatch.setattr(probe, "has_order_two", lambda element, graph: False)
+        elif check == "fixed":
+            real = probe.fixed_loci
+            monkeypatch.setattr(
+                probe,
+                "fixed_loci",
+                lambda inv, census: real(inv, census)._replace(unique_point=False),
+            )
+        elif check == "antipodal":
+            monkeypatch.setattr(probe, "_antipodal", lambda inv, graph: False)
+        else:
+
+            class Raised(_MinimumWatch):
+                __slots__ = ()
+
+                def __init__(self, k):
+                    super().__init__(k)
+                    self.low = inf  # so the first minimum is a drop
+
+            monkeypatch.setattr(probe, "_MinimumWatch", Raised)
+        certificate = certify(PENTAGON, 6)
+        fields = (
+            certificate.order_two,
+            certificate.unique_fixed_point,
+            certificate.antipodal,
+            certificate.displacement_monotone,
+        )
+        failed = ["order_two", "fixed", "antipodal", "monotone"].index(check)
+        assert fields == tuple(i != failed for i in range(4))
+        assert not certificate.verdict
+
     def test_verdict_is_conjunction(self):
         certificate = certify(GRID, 4)
         assert certificate.verdict == (
@@ -192,6 +243,56 @@ class TestCertify:
         )
         broken = certificate._replace(antipodal=False)
         assert broken.as_dict()["antipodal"] is False
+
+    @staticmethod
+    def _peak(graph, radius, max_vertices):
+        """The ``tracemalloc`` peak of one ``certify`` call, after a first
+        call has paid for anything made once."""
+        certify(graph, radius, max_vertices=max_vertices)
+        tracemalloc.start()
+        try:
+            certify(graph, radius, max_vertices=max_vertices)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_is_flat_in_the_radius(self):
+        # The minimum is checked in the walk, which holds the last k + 1
+        # q's and columns.  Python 3.11: dinfty peaks at 5,760 bytes at
+        # both radii and grid at 6,272 bytes at r2,000; with the whole
+        # profile built they peaked at 352 KB, 3.7 MB and 408 KB.
+        near = self._peak(DINFTY, 2_000, 10**9)
+        far = self._peak(DINFTY, 20_000, 10**9)
+        assert abs(far - near) < 2**10
+        assert max(near, far) < 4 * 5_760
+        assert self._peak(GRID, 2_000, 10**12) < 4 * 6_272
+
+    def test_minimum_watch_reads_the_profile_minima(self):
+        for graph in ALL_PRESETS:
+            inv = build_involution(graph)
+            qs = []
+            _census(graph, 30, inf, inv.n, qs.append)
+            watch = _MinimumWatch(inv.n)
+            lows = []
+            for q in qs:
+                watch.receive(q)
+                lows.append(watch.low)
+            census = ball_census(graph, 30, max_vertices=10**100)
+            profile = displacement_profile(inv, census)
+            assert lows == list(profile.mins)
+            assert watch.monotone
+
+    def test_minimum_watch_keeps_a_drop(self):
+        # No series drops its minimum, so raise the last one by hand.  On
+        # dinfty, where every q is 1, the minima are 1, 1, 3, 5, ...
+        watch = _MinimumWatch(1)
+        watch.receive(1)
+        assert (watch.low, watch.monotone) == (1, True)
+        watch.low += 1
+        watch.receive(1)
+        assert (watch.low, watch.monotone) == (1, False)
+        watch.receive(1)
+        assert (watch.low, watch.monotone) == (3, False)
 
 
 # Every pinned CLI output: the exit code and the sha256 of the stdout of
@@ -465,7 +566,9 @@ def test_cli_output_is_pinned(tmp_path, capsys, command, name, radius):
 
 def test_certify_past_the_default_cap_exits_three(capsys):
     # The cap reads the whole ball of the given radius, though certify
-    # reads the profile only to the reliable radius.
+    # checks the displacement only to the reliable radius.  The ball is
+    # never built and certify holds O(k) numbers, so the cap bounds the
+    # length of the census walk, not memory; the exit is kept as it was.
     code = main(["certify", "--preset", "pentagon", "--radius", "14"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")

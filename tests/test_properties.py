@@ -25,7 +25,7 @@ series against that walk, against the walk of left-descent bitmasks and
 against the closed form by inclusion-exclusion.  The census, the vertex
 cap and the profile are checked at radii up to 40, and on ``dinfty`` at
 400, against the count of automaton states with multiplicity, and
-``certify``, which reads all three off one walk, against separate calls.
+``certify``, which checks all three in one walk, against separate calls.
 Examples are derandomized so every run checks the same cases.
 """
 
@@ -403,10 +403,11 @@ def test_state_census_on_presets_at_large_radii(name, radius):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(graphs(), st.integers(0, 40), st.data())
 def test_certify_matches_separate_calls(graph, extra, data):
-    """``certify`` reads the cap, the census and the profile off one walk of
-    the growth series.  Its fields, and at a drawn vertex cap the error it
-    stops with, are those of separate ``ball_census``, ``fixed_loci`` and
-    ``displacement_profile`` calls; ``state_census`` above checks those."""
+    """``certify`` checks the cap, the census and the minimum displacement
+    in one walk of the growth series, and holds no profile.  Its fields,
+    and at a drawn vertex cap the error it stops with, are those of
+    separate ``ball_census``, ``fixed_loci`` and ``displacement_profile``
+    calls; ``state_census`` above checks those."""
     inv = build_involution(graph)
     radius = (graph.n if graph.is_complete else inv.n + 1) + extra
     total = ball_census(graph, radius, max_vertices=10**100).vertex_count
@@ -431,6 +432,35 @@ def test_certify_matches_separate_calls(graph, extra, data):
     assert certificate.verdict == (
         order_two and report.unique_point and antipodal and monotone
     )
+
+
+def _monotone_both_ways(graph, radius):
+    """``certify``'s minimum checked in the walk, and the profile's.  Both
+    must hold: the most left descents in C rise by at most 1 a sphere, so
+    the minimum 2r + k - 2 * most never drops."""
+    census = ball_census(graph, radius, max_vertices=10**100)
+    return (
+        certify(graph, radius, max_vertices=10**100).displacement_monotone,
+        displacement_profile(build_involution(graph), census).monotone,
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_certify_monotone_matches_profile_on_complete_graphs(n):
+    """K_n at its diameter, one past it, at 2n and past 2n: the walk stops
+    at the empty sphere n + 1, and the profile reads the spheres up to
+    min(radius - n, n)."""
+    for radius in (n, n + 1, 2 * n, 2 * n + 3):
+        assert _monotone_both_ways(complete_graph(n), radius) == (True, True)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_certify_monotone_matches_profile_on_presets(name):
+    graph = preset(name)
+    k = len(maximum_spherical(graph))
+    low = graph.n if graph.is_complete else k + 1
+    for radius in range(low, 61):
+        assert _monotone_both_ways(graph, radius) == (True, True)
 
 
 # Label characters: DOT and JSON specials, control characters, non-ASCII
