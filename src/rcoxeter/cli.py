@@ -163,7 +163,7 @@ def _run(args) -> tuple[str | Iterator[str], int]:
         certificate = certify(graph, args.radius, max_vertices=args.max_vertices)
         return _dump_json(certificate.as_dict()), 0 if certificate.verdict else 2
     if args.command == "profile":
-        _, profile = _census_profile(
+        profile = _census_profile(
             build_involution(graph), graph, args.radius, args.max_vertices
         )
         return _dump_json(profile.as_dict()), 0

@@ -63,15 +63,20 @@ in W_C; see ``involution``.
 
 ``certify`` bundles every check in the package into one verdict: the
 involution squares to the identity, its fixed point in the examined ball
-is unique, the local action is antipodal, and min displacement never drops
-as the radius grows.  Complete defining graphs present finite groups whose
+is unique, the local action is antipodal, and the least displacement on
+each sphere r is the bound above, max(k, 2r - k), which grows with the
+radius.  Complete defining graphs present finite groups whose
 boundary is empty, so they pass with an explanatory note.  It builds no
 ball, walks no sphere and makes one walk of the growth series: one clique
 search gives k, one clique count the series, and one loop up to the
 radius enforces the vertex cap, keeps the last k + 1 cumulative columns,
 off which the census reads the cells, and hands q_0, ..., q_(R-k) one at
-a time to a receiver that keeps the last k + 1 of them and the last
-minimum.  So ``certify`` holds O(k) numbers at any radius, and only the
+a time to a receiver that counts them and notes the first q <= 0.
+Sphere r reaches the bound exactly when q_(r - min(r, k)) > 0, so the
+check is that q_l > 0 for every l <= max(0, r - k), r the last sphere
+received.  It holds on every graph: on a non-complete one every q_l is
+positive, and on K_n the spheres stop at r = n = k, so only q_0 = 1 is
+read.  So ``certify`` holds O(k) numbers at any radius, and only the
 ``profile`` command lists the spheres.  The fixed locus takes k
 conjugations, one per generator of the clique, and the antipodal check k
 one-letter products.
@@ -126,51 +131,38 @@ def displacement_profile(
     _maximal_clique(inv, graph)
     if inv.n != len(maximum_spherical(graph)):
         raise ValueError(f"clique {inv.clique} is not a maximum clique of {graph!r}")
-    return _census_profile(inv, graph, max(ball.radius, 0), inf)[1]
+    return _census_profile(inv, graph, max(ball.radius, 0), inf)
 
 
-def _most_descents(recent: deque[int]) -> int:
-    """The most left descents in C on sphere r, where ``recent[m]`` is
-    q_(r-m) for m = 0..k: the largest m with a u of length r - m.  The
-    sphere must be nonempty."""
-    most = len(recent) - 1
-    while not recent[most]:
-        most -= 1
-    return most
+class _LeastDisplacement:
+    """Receives q_0, q_1, ... from ``_census`` and keeps two numbers: how
+    many spheres it received and the index of the first q <= 0.  Sphere r
+    moves by max(k, 2r - k) at least, exactly when q_(r - min(r, k)) > 0,
+    so ``holds(k)`` says whether every sphere received meets that bound."""
 
+    __slots__ = ("spheres", "gap")
 
-class _MinimumWatch:
-    """Receives q_0, q_1, ... from ``_census`` and holds only the last k + 1
-    of them and the last minimum displacement, 2r + k - 2 * (the most left
-    descents in C) on sphere r.  ``monotone`` is False once it has dropped.
-    """
-
-    __slots__ = ("recent", "far", "low", "monotone")
-
-    def __init__(self, k: int) -> None:
-        self.recent = deque([0] * (k + 1), k + 1)
-        self.far = k  # 2r + k for the next sphere r
-        self.low = -inf
-        self.monotone = True
+    def __init__(self) -> None:
+        self.spheres = 0
+        self.gap = inf
 
     def receive(self, q: int) -> None:
-        recent = self.recent
-        recent.appendleft(q)
-        low = self.far - 2 * _most_descents(recent)
-        if low < self.low:
-            self.monotone = False
-        self.low = low
-        self.far += 2
+        if q <= 0:
+            self.gap = min(self.gap, self.spheres)
+        self.spheres += 1
+
+    def holds(self, k: int) -> bool:
+        return self.gap > max(0, self.spheres - 1 - k)
 
 
 def _census_profile(
     inv: Involution, graph: DefiningGraph, radius: int, max_vertices: float
-) -> tuple[BallCensus, DisplacementProfile]:
-    """``ball_census`` and the displacement profile in it, from one walk of
-    the growth series: the census hands over q_0, ..., q_(radius - k)."""
+) -> DisplacementProfile:
+    """The displacement profile in ``ball_census``, from one walk of the
+    growth series: the census hands over q_0, ..., q_(radius - k)."""
     k = inv.n
     qs: list[int] = []
-    census = _census(graph, radius, max_vertices, k, qs.append)
+    _census(graph, radius, max_vertices, k, qs.append)
     # recent[m] is q_(r-m); each such u gives C(k, m) vertices c * u.
     sizes = [comb(k, m) for m in range(k + 1)]
     descents = [m * size for m, size in enumerate(sizes)]
@@ -178,17 +170,18 @@ def _census_profile(
     mins, maxs, means = [], [], []
     for r, q in enumerate(qs):
         recent.appendleft(q)
-        # The fewest left descents in C; the sphere is nonempty.
-        fewest = 0
+        # The fewest and the most left descents in C; the sphere is nonempty.
+        fewest, most = 0, k
         while not recent[fewest]:
             fewest += 1
-        most = _most_descents(recent)
+        while not recent[most]:
+            most -= 1
         far = 2 * r + k
         count = sum(map(mul, sizes, recent))
         mins.append(far - 2 * most)
         maxs.append(far - 2 * fewest)
         means.append((far * count - 2 * sum(map(mul, descents, recent))) / count)
-    return census, DisplacementProfile(
+    return DisplacementProfile(
         tuple(range(len(mins))), tuple(mins), tuple(maxs), tuple(means)
     )
 
@@ -240,10 +233,11 @@ def certify(
     the ball saturates the finite group instead, so covering its diameter
     is enough there.
 
-    The minimum displacement is checked sphere by sphere as the census
-    walks the growth series, so memory stays O(k) at any radius.  The
-    vertex cap still reads the whole ball of the given radius, which is
-    never built: it bounds the length of that walk, not memory.
+    Each sphere's least displacement is checked against max(k, 2r - k) as
+    the census walks the growth series, so memory stays O(k) at any
+    radius.  The vertex cap still reads the whole ball of the given
+    radius, which is never built: it bounds the length of that walk, not
+    memory.
     """
     inv = build_involution(graph)
     complete = graph.is_complete
@@ -257,12 +251,12 @@ def certify(
             f"radius {radius} too small; need >= {inv.n + 1} "
             f"for a maximum clique of size {inv.n}"
         )
-    watch = _MinimumWatch(inv.n)
-    census = _census(graph, radius, max_vertices, inv.n, watch.receive)
+    least = _LeastDisplacement()
+    census = _census(graph, radius, max_vertices, inv.n, least.receive)
     report = fixed_loci(inv, census)
     order_two = has_order_two(inv.element, graph)
     antipodal = _antipodal(inv, graph)  # fixed_loci ran its guard
-    monotone = watch.monotone
+    monotone = least.holds(inv.n)
     verdict = order_two and report.unique_point and antipodal and monotone
     return Certificate(
         graph_labels=graph.labels,

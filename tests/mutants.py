@@ -12,8 +12,10 @@ them, so no test can see a change there.  The sites are shuffled with
 ``--seed`` and the first ``--count`` are run (all by default), each with
 ``pytest -x`` on the given test files, or on the whole suite when none are
 given.  One JSON line per mutant goes to stdout: the site's index, its
-line in the module, the change and whether the tests killed it.  Rerun a
-survivor on the whole suite with ``--only INDEX`` and no test files.
+line in the module, the change and whether the tests killed it.  A mutant
+whose tests run past ``--timeout`` seconds (a loop that no longer ends)
+is stopped and counts as killed.  Rerun a survivor on the whole suite
+with ``--only INDEX`` and no test files.
 
 The mutants are written into a temporary copy of the checkout, never into
 the checkout itself.
@@ -120,6 +122,8 @@ def main(argv=None) -> int:
     parser.add_argument("--count", type=int, help="run only the first COUNT shuffled sites")
     parser.add_argument("--only", type=int, action="append", metavar="INDEX",
                         help="run this site (repeatable)")
+    parser.add_argument("--timeout", type=float, default=600, metavar="SECONDS",
+                        help="stop a mutant's tests after this long (default 600)")
     args = parser.parse_intermixed_args(argv)
     source = (ROOT / args.module).read_text()
     order = list(range(len(sites(ast.parse(source)))))
@@ -136,14 +140,20 @@ def main(argv=None) -> int:
         for index in chosen:
             text, line, change = mutant(source, index)
             target.write_text(text)
-            run = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                 *args.tests],
-                cwd=tree, env=env, capture_output=True, text=True,
-            )
-            last = run.stdout.strip().splitlines()[-1:] or [""]
+            try:
+                run = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+                     "no:cacheprovider", *args.tests],
+                    cwd=tree, env=env, capture_output=True, text=True,
+                    timeout=args.timeout,
+                )
+            except subprocess.TimeoutExpired:
+                killed, summary = True, f"timed out after {args.timeout:g} s"
+            else:
+                killed = run.returncode != 0
+                summary = (run.stdout.strip().splitlines()[-1:] or [""])[0]
             print(json.dumps({"index": index, "line": line, "change": change,
-                              "killed": run.returncode != 0, "summary": last[0]}), flush=True)
+                              "killed": killed, "summary": summary}), flush=True)
         target.write_text(source)
     return 0
 

@@ -40,9 +40,10 @@ payload and one label join per word.  The flag condition is rechecked
 the way the library did before it read square bitmasks, with every
 subset of the edges at a vertex tried in turn.  Helpers only the tests
 use (a determinant, the maximal elements of the spherical poset, the cube
-sort key) live here too, and so do three former library names that lost their
-last caller there: ``cube_vertices`` (once ``Cube.vertices``),
-``conjugates`` and ``displacement``.  Expected values frozen into the
+sort key, a census that hands its receiver one wrong q) live here too,
+and so do three former library names that lost their last caller there:
+``cube_vertices`` (once ``Cube.vertices``), ``conjugates`` and
+``displacement``.  Expected values frozen into the
 tests were produced by these routines.
 """
 
@@ -82,7 +83,7 @@ from rcoxeter import (
     support,
     word_to_text,
 )
-from rcoxeter.davis import _growth_columns
+from rcoxeter.davis import _census, _growth_columns
 from rcoxeter.graphs import _bits
 from rcoxeter.involution import _near, _support_mask
 from rcoxeter.spherical import _clique_counts, _clique_levels, _mask_of
@@ -868,3 +869,21 @@ def reference_export(ball: Ball, format: str) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown export format {format!r}")
+
+
+def corrupted_census(index: int, value: int) -> Callable:
+    """``davis._census``, but its receiver is handed ``value`` in place of
+    q_index; the census it returns is the real one.  No real series has a
+    q <= 0 where ``certify`` reads, so its bound check is failed this way."""
+
+    def census(graph, radius, max_vertices, k, receive):
+        received = itertools.count()
+        return _census(
+            graph,
+            radius,
+            max_vertices,
+            k,
+            lambda q: receive(value if next(received) == index else q),
+        )
+
+    return census

@@ -67,11 +67,14 @@ def test_parse_json_garbage():
         "[" * 100_000 + "]" * 100_000,
         '{"vertices":"ab"}',
         '{"vertices":["a",1]}',
+        '{"edges":[]}',
+        '["vertices"]',
     ],
     ids=[
         "edges-not-a-list", "top-level-array", "edge-object",
         "edge-of-three", "edge-non-string", "nested-too-deep",
         "vertices-not-a-list", "vertex-non-string",
+        "no-vertices-key", "array-holding-vertices",
     ],
 )
 def test_parse_json_schema_violations(text):
@@ -164,6 +167,12 @@ def test_constructor_rejects_asymmetric_masks():
             GraphParseError, match="^adjacency not symmetric between 'a' and 'b'$"
         ):
             DefiningGraph(("a", "b"), masks)
+    # The partner named is the first one the masks disagree on, not the
+    # first neighbour: a-b is an edge both ways, a-c only from a.
+    with pytest.raises(
+        GraphParseError, match="^adjacency not symmetric between 'a' and 'c'$"
+    ):
+        DefiningGraph(("a", "b", "c"), (0b110, 0b001, 0b000))
 
 
 def test_symmetry_check_scales_with_edges_not_pairs():

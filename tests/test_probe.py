@@ -1,6 +1,5 @@
 import hashlib
 import tracemalloc
-from math import inf
 from time import perf_counter
 
 import pytest
@@ -19,12 +18,12 @@ from rcoxeter import (
 )
 from rcoxeter import probe
 from rcoxeter.cli import main
-from rcoxeter.davis import _census
-from rcoxeter.probe import _MinimumWatch
+from rcoxeter.probe import _LeastDisplacement
 from oracles import (
     closed_form_spheres,
     complete_graph,
     complete_graph_file,
+    corrupted_census,
     displacement,
     profile_of,
 )
@@ -213,15 +212,7 @@ class TestCertify:
         elif check == "antipodal":
             monkeypatch.setattr(probe, "_antipodal", lambda inv, graph: False)
         else:
-
-            class Raised(_MinimumWatch):
-                __slots__ = ()
-
-                def __init__(self, k):
-                    super().__init__(k)
-                    self.low = inf  # so the first minimum is a drop
-
-            monkeypatch.setattr(probe, "_MinimumWatch", Raised)
+            monkeypatch.setattr(probe, "_census", corrupted_census(1, 0))
         certificate = certify(PENTAGON, 6)
         fields = (
             certificate.order_two,
@@ -257,42 +248,59 @@ class TestCertify:
             tracemalloc.stop()
 
     def test_memory_is_flat_in_the_radius(self):
-        # The minimum is checked in the walk, which holds the last k + 1
-        # q's and columns.  Python 3.11: dinfty peaks at 5,760 bytes at
-        # both radii and grid at 6,272 bytes at r2,000; with the whole
-        # profile built they peaked at 352 KB, 3.7 MB and 408 KB.
+        # The bound is checked in the walk, which holds two numbers and
+        # the last k + 1 columns.  Python 3.11: dinfty peaks at 4,424 bytes
+        # at both radii and grid at 4,840 bytes at r2,000.  The bounds were
+        # set when a receiver holding the last k + 1 q's peaked at 5,760
+        # and 6,272 bytes; with the whole profile built the peaks were
+        # 352 KB, 3.7 MB and 408 KB.
         near = self._peak(DINFTY, 2_000, 10**9)
         far = self._peak(DINFTY, 20_000, 10**9)
         assert abs(far - near) < 2**10
         assert max(near, far) < 4 * 5_760
         assert self._peak(GRID, 2_000, 10**12) < 4 * 6_272
 
-    def test_minimum_watch_reads_the_profile_minima(self):
-        for graph in ALL_PRESETS:
-            inv = build_involution(graph)
-            qs = []
-            _census(graph, 30, inf, inv.n, qs.append)
-            watch = _MinimumWatch(inv.n)
-            lows = []
-            for q in qs:
-                watch.receive(q)
-                lows.append(watch.low)
-            census = ball_census(graph, 30, max_vertices=10**100)
-            profile = displacement_profile(inv, census)
-            assert lows == list(profile.mins)
-            assert watch.monotone
+    @staticmethod
+    def _holds(qs, k):
+        least = _LeastDisplacement()
+        for q in qs:
+            least.receive(q)
+        return least.holds(k)
 
-    def test_minimum_watch_keeps_a_drop(self):
-        # No series drops its minimum, so raise the last one by hand.  On
-        # dinfty, where every q is 1, the minima are 1, 1, 3, 5, ...
-        watch = _MinimumWatch(1)
-        watch.receive(1)
-        assert (watch.low, watch.monotone) == (1, True)
-        watch.low += 1
-        watch.receive(1)
-        assert (watch.low, watch.monotone) == (1, False)
-        watch.receive(1)
-        assert (watch.low, watch.monotone) == (3, False)
+    def test_least_displacement_reads_q_up_to_the_last_sphere_less_k(self):
+        # Sphere r reads q_(r - min(r, k)): the spheres 0..9 with k = 2
+        # read q_0..q_7, so a zero or negative q fails there and passes in
+        # the last k spheres.
+        for l in range(10):
+            for bad in (0, -1):
+                qs = [1] * 10
+                qs[l] = bad
+                assert self._holds(qs, 2) == (l > 7)
+        assert self._holds([1] * 10, 2)
+
+    def test_least_displacement_reads_q0_on_every_sphere_up_to_k(self):
+        # K_3 hands over q = 1, 0, 0, 0 at radius 6: spheres 0..3 read only
+        # q_0.  A sphere 4 would read q_1.
+        assert self._holds([1, 0, 0, 0], 3)
+        assert not self._holds([1, 0, 0, 0, 0], 3)
+        assert not self._holds([0, 1, 1, 1], 3)
+        assert not self._holds([-1], 3)
+
+    @pytest.mark.parametrize(
+        "graph", (DINFTY, PENTAGON, GRID), ids=("dinfty", "pentagon", "grid")
+    )
+    def test_a_bad_q_fails_certify_up_to_radius_less_2k(self, monkeypatch, graph):
+        # At radius R the census hands over q_0..q_(R-k), and the bound
+        # reads q_0..q_(R-2k); the real q's there are all positive.
+        k = build_involution(graph).n
+        radius = 3 * k + 2
+        assert certify(graph, radius).displacement_monotone
+        for l in range(radius - k + 1):
+            for bad in (0, -1):
+                monkeypatch.setattr(probe, "_census", corrupted_census(l, bad))
+                certificate = certify(graph, radius)
+                assert certificate.displacement_monotone == (l > radius - 2 * k)
+                assert certificate.verdict == certificate.displacement_monotone
 
 
 # Every pinned CLI output: the exit code and the sha256 of the stdout of

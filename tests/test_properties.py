@@ -65,12 +65,14 @@ from rcoxeter import (
     spherical_poset,
     tits_matrix,
 )
+from rcoxeter import probe
 from oracles import (
     assert_same_ball,
     bfs_ball,
     bitmask_walk,
     closed_form_spheres,
     complete_graph,
+    corrupted_census,
     cubes_through,
     filtered_invariant_cubes,
     greedy_canonical_cube,
@@ -403,7 +405,7 @@ def test_state_census_on_presets_at_large_radii(name, radius):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(graphs(), st.integers(0, 40), st.data())
 def test_certify_matches_separate_calls(graph, extra, data):
-    """``certify`` checks the cap, the census and the minimum displacement
+    """``certify`` checks the cap, the census and the least displacement
     in one walk of the growth series, and holds no profile.  Its fields,
     and at a drawn vertex cap the error it stops with, are those of
     separate ``ball_census``, ``fixed_loci`` and ``displacement_profile``
@@ -422,7 +424,7 @@ def test_certify_matches_separate_calls(graph, extra, data):
         return
     certificate = certify(graph, radius, max_vertices=cap)
     report = fixed_loci(inv, census)
-    monotone = displacement_profile(inv, census).monotone
+    monotone = _meets_the_bound(displacement_profile(inv, census), inv.n)
     order_two = has_order_two(inv.element, graph)
     antipodal = antipodal_check(inv, graph)
     assert certificate.reliable_radius == census.reliable_radius == radius - inv.n
@@ -434,14 +436,23 @@ def test_certify_matches_separate_calls(graph, extra, data):
     )
 
 
-def _monotone_both_ways(graph, radius):
-    """``certify``'s minimum checked in the walk, and the profile's.  Both
-    must hold: the most left descents in C rise by at most 1 a sphere, so
-    the minimum 2r + k - 2 * most never drops."""
+def _meets_the_bound(profile, k):
+    """Whether the profile's minimum on each sphere r is max(k, 2r - k),
+    the least displacement of the lemma in ``probe``."""
+    return profile.mins == tuple(max(k, 2 * r - k) for r in profile.radii)
+
+
+def _bound_both_ways(graph, radius):
+    """``certify``'s bound check, made in the walk, and the closed form
+    against the profile's minima.  Both must hold: every q the check reads
+    is positive."""
+    inv = build_involution(graph)
     census = ball_census(graph, radius, max_vertices=10**100)
+    profile = displacement_profile(inv, census)
+    assert profile.radii
     return (
         certify(graph, radius, max_vertices=10**100).displacement_monotone,
-        displacement_profile(build_involution(graph), census).monotone,
+        _meets_the_bound(profile, inv.n),
     )
 
 
@@ -449,9 +460,9 @@ def _monotone_both_ways(graph, radius):
 def test_certify_monotone_matches_profile_on_complete_graphs(n):
     """K_n at its diameter, one past it, at 2n and past 2n: the walk stops
     at the empty sphere n + 1, and the profile reads the spheres up to
-    min(radius - n, n)."""
+    min(radius - n, n), each of which moves by n."""
     for radius in (n, n + 1, 2 * n, 2 * n + 3):
-        assert _monotone_both_ways(complete_graph(n), radius) == (True, True)
+        assert _bound_both_ways(complete_graph(n), radius) == (True, True)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -460,7 +471,36 @@ def test_certify_monotone_matches_profile_on_presets(name):
     k = len(maximum_spherical(graph))
     low = graph.n if graph.is_complete else k + 1
     for radius in range(low, 61):
-        assert _monotone_both_ways(graph, radius) == (True, True)
+        assert _bound_both_ways(graph, radius) == (True, True)
+
+
+def test_a_zero_q3_fails_certify_where_the_bound_reads_it(monkeypatch):
+    """q_3 := 0 handed to ``certify``'s receiver, on the presets, K1..K8
+    and 40 random graphs.  At radius R the bound reads q_l for l up to
+    R - 2k on an infinite group and only q_0 on K_n, whose spheres stop at
+    n = k, so the check fails exactly when R - 2k >= 3 on an infinite
+    group.  A check that the minimum never drops passes every case: the
+    most left descents in C rise by at most 1 a sphere, whatever the q's.
+    """
+    rng = random.Random(3)
+    cases = [*PRESETS.values()] + [complete_graph(n) for n in range(1, 9)]
+    cases += [random_graph(rng, 7) for _ in range(40)]
+    monkeypatch.setattr(probe, "_census", corrupted_census(3, 0))
+    failed = passed = 0
+    for graph in cases:
+        k = len(maximum_spherical(graph))
+        if graph.is_complete:
+            radii = (graph.n, 2 * graph.n)
+        else:
+            radii = (k + 1, 2 * k + 2, 2 * k + 3, 2 * k + 6)
+        for radius in radii:
+            certificate = certify(graph, radius, max_vertices=10**100)
+            reads_q3 = not graph.is_complete and radius - 2 * k >= 3
+            assert certificate.displacement_monotone != reads_q3
+            assert certificate.verdict != reads_q3
+            failed += reads_q3
+            passed += not reads_q3
+    assert (failed, passed) == (68, 104)
 
 
 # Label characters: DOT and JSON specials, control characters, non-ASCII
