@@ -11,6 +11,10 @@ subcube on the flipped axes.  Its dimension is |T| minus the number of
 flipped coordinates, and it is a single point exactly when every
 coordinate flips.
 
+An ``Involution`` holds only its clique C and graph: gamma is C spelled
+in ascending order.  Each check first runs one guard, which rejects a C
+that is out of range, not strictly ascending or not maximal.
+
 Everything here reads the cubes based within R - k, for a ball of radius
 R and a maximal clique C of size k, and needs only the graph and the
 radius: a ball and its census serve alike, and no ``Ball`` is built.
@@ -45,12 +49,20 @@ from .words import IDENTITY, Word, conjugate, multiply, support, word_to_text
 
 
 class Involution(NamedTuple):
-    """An order-two element together with the clique that produced it."""
+    """The product of a maximal clique's commuting generators, held as the
+    clique: gamma, ``element``, is the clique in ascending order, its own
+    shortlex normal form, and ``n`` is its size k."""
 
-    element: Word
     clique: Clique
-    n: int
     graph: DefiningGraph
+
+    @property
+    def element(self) -> Word:
+        return self.clique
+
+    @property
+    def n(self) -> int:
+        return len(self.clique)
 
     def as_dict(self) -> dict:
         graph = self.graph
@@ -67,19 +79,18 @@ def build_involution(graph: DefiningGraph) -> Involution:
     Ascending order makes the product its own shortlex normal form, and any
     other order would give the same element since the factors commute.
     """
-    clique = maximum_spherical(graph)
-    return Involution(element=clique, clique=clique, n=len(clique), graph=graph)
+    return Involution(maximum_spherical(graph), graph)
 
 
 def _maximal_clique(inv: Involution, graph: DefiningGraph) -> None:
-    """Raise ``ValueError`` unless ``inv`` is on ``graph``, the ascending product
-    of its clique, ``n`` its size, and the clique maximal: its own ``_near``."""
+    """Raise ``ValueError`` unless ``inv`` is on ``graph`` and its clique in
+    range, strictly ascending and maximal: its own ``_near``."""
     if inv.graph is not graph and inv.graph != graph:
         raise ValueError(f"involution on {inv.graph!r} used with {graph!r}")
     clique = inv.clique
     mask = _mask_of(clique, graph.n)
-    if not (inv.element == clique == tuple(_bits(mask)) and inv.n == len(clique)):
-        raise ValueError(f"gamma {inv.element}, n={inv.n}, is not the product of {clique}")
+    if clique != tuple(_bits(mask)):
+        raise ValueError(f"gamma {clique} is not the product of its sorted clique")
     if _near(mask, graph) != mask:
         raise ValueError(f"clique {clique} is not a maximal clique of {graph!r}")
 
@@ -90,13 +101,6 @@ def _near(mask: int, graph: DefiningGraph) -> int:
     for g in _bits(mask):
         near &= graph.neighbor_masks[g] | 1 << g
     return near
-
-
-def _support_mask(word: Word) -> int:
-    mask = 0
-    for g in word:
-        mask |= 1 << g
-    return mask
 
 
 def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...]:
@@ -205,18 +209,12 @@ def antipodal_check(inv: Involution, graph: DefiningGraph) -> bool:
     support letters, and a product adds supports mod 2.  So gamma, whose
     support is all of C, adds the all-ones vector, and gamma * x has
     support C - supp(x) for every x in W_C; the generators determine the
-    rest.  Raises ``ValueError`` unless ``inv`` is the product of a
-    maximal clique.
+    rest.  Raises ``ValueError`` unless the guard passes.
     """
     _maximal_clique(inv, graph)
-    return _antipodal(inv, graph)
-
-
-def _antipodal(inv: Involution, graph: DefiningGraph) -> bool:
-    """``antipodal_check`` for an involution that has passed
-    ``_maximal_clique``."""
-    gamma, full = inv.element, _support_mask(inv.clique)
+    gamma, n = inv.element, graph.n
+    full = _mask_of(gamma, n)
     return all(
-        _support_mask(multiply(gamma, (s,), graph)) == full ^ (1 << s)
+        _mask_of(multiply(gamma, (s,), graph), n) == full ^ (1 << s)
         for s in inv.clique
     )

@@ -86,15 +86,15 @@ from __future__ import annotations
 
 from collections import deque
 from math import comb, inf
-from operator import le, mul
+from operator import mul
 from typing import NamedTuple
 
 # build_ball and conjugate are not called here; they stay names of this
 # module because bench/tracing.py wraps them.
 from .davis import Ball, BallCensus, _census, build_ball  # noqa: F401
 from .graphs import DefiningGraph
-from .involution import Involution, _antipodal, _maximal_clique, fixed_loci
-from .involution import build_involution
+from .involution import Involution, _maximal_clique, antipodal_check
+from .involution import build_involution, fixed_loci
 from .spherical import maximum_spherical
 from .words import conjugate, has_order_two, word_to_text  # noqa: F401
 
@@ -117,8 +117,9 @@ class DisplacementProfile(NamedTuple):
 
     @property
     def monotone(self) -> bool:
-        """True when the per-sphere minimum never decreases."""
-        return all(map(le, self.mins, self.mins[1:]))
+        """True when sphere r's least displacement is max(k, 2r - k), k = mins[0]."""
+        mins = self.mins
+        return all(low == max(mins[0], 2 * r - mins[0]) for r, low in enumerate(mins))
 
 
 def displacement_profile(
@@ -255,7 +256,7 @@ def certify(
     census = _census(graph, radius, max_vertices, inv.n, least.receive)
     report = fixed_loci(inv, census)
     order_two = has_order_two(inv.element, graph)
-    antipodal = _antipodal(inv, graph)  # fixed_loci ran its guard
+    antipodal = antipodal_check(inv, graph)
     monotone = least.holds(inv.n)
     verdict = order_two and report.unique_point and antipodal and monotone
     return Certificate(

@@ -18,7 +18,9 @@ is stopped and counts as killed.  Rerun a survivor on the whole suite
 with ``--only INDEX`` and no test files.
 
 The mutants are written into a temporary copy of the checkout, never into
-the checkout itself.
+the checkout itself.  The copy is removed on exit, also when the screen is
+stopped by ``SIGTERM``: the signal raises ``SystemExit``, which kills the
+running tests and unwinds the ``with`` block that holds the copy.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -114,6 +117,10 @@ def mutant(source: str, index: int) -> tuple[str, int, str]:
     return ast.unparse(tree), line, change
 
 
+def _exit_on_sigterm(signum, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="path of the module, relative to the checkout")
@@ -125,6 +132,7 @@ def main(argv=None) -> int:
     parser.add_argument("--timeout", type=float, default=600, metavar="SECONDS",
                         help="stop a mutant's tests after this long (default 600)")
     args = parser.parse_intermixed_args(argv)
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     source = (ROOT / args.module).read_text()
     order = list(range(len(sites(ast.parse(source)))))
     random.Random(args.seed).shuffle(order)

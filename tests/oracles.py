@@ -85,7 +85,6 @@ from rcoxeter import (
 )
 from rcoxeter.davis import _census, _growth_columns
 from rcoxeter.graphs import _bits
-from rcoxeter.involution import _near, _support_mask
 from rcoxeter.spherical import _clique_counts, _clique_levels, _mask_of
 
 
@@ -744,6 +743,23 @@ def filtered_invariant_cubes(inv: Involution, ball: Ball) -> tuple[Cube, ...]:
         for cube in ball.cubes
         if cube.base in conj and support(conj[cube.base]) <= set(cube.axis)
     )
+
+
+def _support_mask(word: Word) -> int:
+    """The generators of a word, as a bitmask."""
+    mask = 0
+    for g in word:
+        mask |= 1 << g
+    return mask
+
+
+def _near(mask: int, graph: DefiningGraph) -> int:
+    """The generators in, or adjacent to, every generator of the mask."""
+    near = (1 << graph.n) - 1
+    for g in range(graph.n):
+        if mask >> g & 1:
+            near &= graph.neighbor_masks[g] | 1 << g
+    return near
 
 
 def subset_invariant_cubes(inv: Involution, ball) -> tuple[Cube, ...]:

@@ -58,7 +58,7 @@ def test_criterion_1_involution_law():
         inv = build_involution(graph)
         ok = ok and has_order_two(inv.element, graph)
         ok = ok and inv.element != IDENTITY
-        ok = ok and len(inv.element) == len(inv.clique) == inv.n
+        ok = ok and normal_form(inv.clique, graph) == inv.element
         ok = ok and support(inv.element) == set(inv.clique)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0

@@ -498,6 +498,11 @@ class TestGraphSources:
         )
         assert (code, out) == (0, '["g0"]\n')
 
+        # The default cap is 24: 24 generators pass, 25 do not.
+        for n, expected in ((24, 0), (25, 1)):
+            path.write_text(" ".join(f"g{i}" for i in range(n)) + "\n")
+            assert run(capsys, "maxclique", "--graph", str(path))[0] == expected
+
     def test_missing_source_is_usage_error(self, capsys):
         code, out, err = run(capsys, "nf", "ab")
         assert code == 1

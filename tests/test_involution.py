@@ -22,6 +22,7 @@ from rcoxeter import (
     has_order_two,
     invariant_cubes,
     multiply,
+    normal_form,
     preset,
     spherical_poset,
     support,
@@ -68,9 +69,20 @@ class TestBuildInvolution:
         for graph in graphs:
             inv = build_involution(graph)
             assert has_order_two(inv.element, graph)
-            assert len(inv.element) == inv.n == len(inv.clique)
+            assert normal_form(inv.clique, graph) == inv.element
             assert support(inv.element) == set(inv.clique)
             assert multiply(inv.element, inv.element, graph) == IDENTITY
+
+    def test_the_record_is_the_clique_and_the_graph(self):
+        # gamma and k are read off the clique, so no record can disagree.
+        inv = Involution((0, 2), GRID)
+        assert Involution._fields == ("clique", "graph")
+        assert inv == build_involution(GRID)
+        assert (inv.element, inv.n) == ((0, 2), 2)
+        for name in ("element", "n"):
+            with pytest.raises(AttributeError):
+                setattr(inv, name, (0,))
+        assert (inv.element, inv.n) == ((0, 2), 2)
 
 
 class TestInvariantCubes:
@@ -103,7 +115,7 @@ class TestInvariantCubes:
 def clique_involution(graph, clique):
     """The involution of any clique, not only the one ``build_involution``
     picks."""
-    return Involution(element=clique, clique=clique, n=len(clique), graph=graph)
+    return Involution(clique, graph)
 
 
 def triangle_and_edge(u, v):
@@ -142,7 +154,7 @@ class TestMaximalCliques:
             Cube((), (3,)),
             Cube((0,), (3,)),
         )
-        for query in (invariant_cubes, fixed_loci):
+        for query in (invariant_cubes, fixed_loci, displacement_profile):
             with pytest.raises(ValueError, match="not a maximal clique"):
                 query(inv, ball)
 
@@ -159,19 +171,11 @@ class TestMaximalCliques:
                 displacement_profile(inv, where)
 
     @pytest.mark.parametrize(
-        "graph, element, clique, n",
-        [
-            # b is not the product of (a,), though it too has one fixed point
-            (DINFTY, (1,), (0,), 1),
-            (DINFTY, (0,), (0,), 2),
-            (SQUARE, (1, 0), (1, 0), 2),
-            (SQUARE, (0, 1), (1, 0), 2),
-        ],
+        "graph, clique", [(SQUARE, (1, 0))], ids=["descending-clique"]
     )
-    def test_involution_that_is_not_its_clique_is_rejected(
-        self, graph, element, clique, n
-    ):
-        inv = Involution(element=element, clique=clique, n=n, graph=graph)
+    def test_involution_that_is_not_its_clique_is_rejected(self, graph, clique):
+        # (1, 0) spells b a, not the normal form a b of the clique's product.
+        inv = Involution(clique, graph)
         for where in (build_ball(graph, 6), ball_census(graph, 6)):
             for query in (invariant_cubes, fixed_loci, displacement_profile):
                 with pytest.raises(ValueError, match="is not the product of"):
@@ -199,8 +203,12 @@ class TestMaximalCliques:
 
     def test_out_of_range_clique_is_rejected(self):
         inv = clique_involution(PENTAGON, (5,))
+        census = ball_census(PENTAGON, 4)
+        for query in (invariant_cubes, fixed_loci, displacement_profile):
+            with pytest.raises(ValueError, match="out of range"):
+                query(inv, census)
         with pytest.raises(ValueError, match="out of range"):
-            invariant_cubes(inv, ball_census(PENTAGON, 4))
+            antipodal_check(inv, PENTAGON)
 
 
 class TestAxesTried:
@@ -621,19 +629,15 @@ class TestAntipodal:
         assert letters == [(s,) for s in inv.clique]
 
     @pytest.mark.parametrize(
-        "graph, element, clique, n",
-        [(DINFTY, (0,), (0,), 5), (SQUARE, (0, 1), (1, 0), 2)],
-        ids=["wrong-n", "descending-clique"],
+        "graph, clique", [(SQUARE, (1, 0))], ids=["descending-clique"]
     )
-    def test_involution_that_is_not_its_clique_is_rejected(
-        self, graph, element, clique, n
-    ):
-        inv = Involution(element=element, clique=clique, n=n, graph=graph)
+    def test_involution_that_is_not_its_clique_is_rejected(self, graph, clique):
+        inv = Involution(clique, graph)
         with pytest.raises(ValueError, match="is not the product of"):
             antipodal_check(inv, graph)
 
     def test_clique_that_is_not_maximal_is_rejected(self):
-        inv = Involution(element=(0,), clique=(0,), n=1, graph=SQUARE)
+        inv = Involution((0,), SQUARE)
         with pytest.raises(ValueError, match="not a maximal clique"):
             antipodal_check(inv, SQUARE)
 

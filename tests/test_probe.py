@@ -65,15 +65,29 @@ class TestProfile:
         assert profile.means == (1.0, 2.0, 4.0, 6.0)
         assert profile.monotone
 
-    def test_monotone_compares_each_sphere_with_the_next(self):
-        # No series drops its minimum, so build the profiles by hand.
-        def monotone(mins):
-            radii = tuple(range(len(mins)))
-            return DisplacementProfile(radii, mins, mins, mins).monotone
+    @staticmethod
+    def monotone(mins):
+        radii = tuple(range(len(mins)))
+        return DisplacementProfile(radii, mins, mins, mins).monotone
 
+    def test_monotone_compares_each_sphere_with_the_next(self):
+        # No series drops its minimum, so build the profiles by hand; a
+        # drop leaves the bound max(k, 2r - k), k the minimum of sphere 0.
+        monotone = self.monotone
         assert monotone(()) and monotone((4,)) and monotone((1, 1, 3))
         assert not monotone((3, 1, 5))
         assert not monotone((1, 3, 3, 2))
+
+    def test_monotone_is_the_bound_not_a_rise(self, monkeypatch):
+        # Minima that never drop but leave max(k, 2r - k) fail: by hand,
+        # and on pentagon, where q_3 := 0 makes sphere 5 move by 10, not 8.
+        assert self.monotone((2, 2, 2, 4)) and not self.monotone((2, 3))
+        inv, census = build_involution(PENTAGON), ball_census(PENTAGON, 12)
+        assert displacement_profile(inv, census).monotone
+        monkeypatch.setattr(probe, "_census", corrupted_census(3, 0))
+        profile = displacement_profile(inv, census)
+        assert profile.mins == (2, 2, 2, 4, 6, 10, 10, 12, 14, 16, 18)
+        assert not profile.monotone
 
     def test_square_profile_constant(self):
         profile = displacement_profile(build_involution(SQUARE), build_ball(SQUARE, 4))
@@ -210,7 +224,7 @@ class TestCertify:
                 lambda inv, census: real(inv, census)._replace(unique_point=False),
             )
         elif check == "antipodal":
-            monkeypatch.setattr(probe, "_antipodal", lambda inv, graph: False)
+            monkeypatch.setattr(probe, "antipodal_check", lambda inv, graph: False)
         else:
             monkeypatch.setattr(probe, "_census", corrupted_census(1, 0))
         certificate = certify(PENTAGON, 6)

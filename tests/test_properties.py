@@ -449,7 +449,7 @@ def _bound_both_ways(graph, radius):
     inv = build_involution(graph)
     census = ball_census(graph, radius, max_vertices=10**100)
     profile = displacement_profile(inv, census)
-    assert profile.radii
+    assert profile.radii and profile.monotone
     return (
         certify(graph, radius, max_vertices=10**100).displacement_monotone,
         _meets_the_bound(profile, inv.n),
@@ -479,8 +479,9 @@ def test_a_zero_q3_fails_certify_where_the_bound_reads_it(monkeypatch):
     and 40 random graphs.  At radius R the bound reads q_l for l up to
     R - 2k on an infinite group and only q_0 on K_n, whose spheres stop at
     n = k, so the check fails exactly when R - 2k >= 3 on an infinite
-    group.  A check that the minimum never drops passes every case: the
-    most left descents in C rise by at most 1 a sphere, whatever the q's.
+    group, and so does the profile's ``monotone``, the same bound.  A check
+    that the minimum never drops passes every case: the most left descents
+    in C rise by at most 1 a sphere, whatever the q's.
     """
     rng = random.Random(3)
     cases = [*PRESETS.values()] + [complete_graph(n) for n in range(1, 9)]
@@ -498,6 +499,9 @@ def test_a_zero_q3_fails_certify_where_the_bound_reads_it(monkeypatch):
             reads_q3 = not graph.is_complete and radius - 2 * k >= 3
             assert certificate.displacement_monotone != reads_q3
             assert certificate.verdict != reads_q3
+            census = ball_census(graph, radius, max_vertices=10**100)
+            profile = displacement_profile(build_involution(graph), census)
+            assert profile.monotone != reads_q3
             failed += reads_q3
             passed += not reads_q3
     assert (failed, passed) == (68, 104)
