@@ -171,10 +171,19 @@ class TestMaximalCliques:
                 displacement_profile(inv, where)
 
     @pytest.mark.parametrize(
-        "graph, clique", [(SQUARE, (1, 0))], ids=["descending-clique"]
+        "graph, clique",
+        [
+            # a a is the identity, not the product of the clique (a,)
+            (DINFTY, (0, 0)),
+            # the grid's clique (0, 2) spelt the other way round
+            (GRID, (2, 0)),
+            # b a, not the normal form a b of the clique's product
+            (SQUARE, (1, 0)),
+            # a b a is the element b, though its letters span (a, b)
+            (SQUARE, (0, 1, 0)),
+        ],
     )
     def test_involution_that_is_not_its_clique_is_rejected(self, graph, clique):
-        # (1, 0) spells b a, not the normal form a b of the clique's product.
         inv = Involution(clique, graph)
         for where in (build_ball(graph, 6), ball_census(graph, 6)):
             for query in (invariant_cubes, fixed_loci, displacement_profile):
