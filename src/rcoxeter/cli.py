@@ -163,9 +163,8 @@ def _run(args) -> tuple[str | Iterator[str], int]:
         certificate = certify(graph, args.radius, max_vertices=args.max_vertices)
         return _dump_json(certificate.as_dict()), 0 if certificate.verdict else 2
     if args.command == "profile":
-        profile = _census_profile(
-            build_involution(graph), graph, args.radius, args.max_vertices
-        )
+        inv = build_involution(graph)
+        profile = _census_profile(inv, graph, args.radius, args.max_vertices, inv.n)
         return _dump_json(profile.as_dict()), 0
     if args.command in ("ball", "fixed"):
         census = ball_census(graph, args.radius, max_vertices=args.max_vertices)

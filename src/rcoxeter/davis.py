@@ -254,11 +254,12 @@ def _census(
     max_vertices: float,
     k: int,
     receive: Callable[[int], object] | None = None,
+    c: int | None = None,
 ) -> BallCensus:
     """``ball_census`` for a maximum clique of k generators.  A callable
-    ``receive`` is also called with q_r = [t^r] 1/P(t), the rise of entry 0
-    at column r, for r = 0, 1, ... over each nonempty sphere r up to
-    radius - k, so the displacement needs no walk of its own."""
+    ``receive`` is also called with q_r = [t^r] (1+t)^(k-c) / P(t), c = k
+    by default, the rise of entry k - c at column r, for each nonempty
+    sphere r <= radius - k: a c-clique's displacement needs no walk."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     # Only the cliques of at most ``radius`` generators are counted: a
@@ -278,6 +279,7 @@ def _census(
     # window[d] is column radius - d, zero before column 0: its entry k - d
     # counts the bases of length at most radius - d of a d-cube that fits.
     window = deque([[0] * (k + 1)] * (k + 1), k + 1)
+    j = 0 if c is None else k - c
     # zip asks for no column past the radius, and a range takes any radius.
     for r, column in zip(range(radius + 1), _growth_columns(by_size)):
         # Only K_k has an empty sphere, r = k + 1, and then column k - d, in
@@ -287,9 +289,9 @@ def _census(
         if column[k] > max_vertices:
             raise ResourceCapError(max_vertices, r - 1)
         if receive is not None and r <= radius - k:
-            receive(column[0] - window[0][0])
+            receive(column[j] - window[0][j])
         window.appendleft(column)
-    cells = tuple(c * col[k - d] for d, (c, col) in enumerate(zip(by_size, window)))
+    cells = tuple(n * col[k - d] for d, (n, col) in enumerate(zip(by_size, window)))
     return BallCensus(graph, radius, radius - k, window[0][k], cells[: radius + 1])
 
 

@@ -49,17 +49,16 @@ the Gromov product (w | gamma * w)_e, half of |w| + |gamma * w| less the
 displacement, is 0.
 
 ``displacement_profile`` reads the profile off the growth series.  By
-step 1, W(t) = (1+t)^k * Q(t), where Q(t) counts the u by length, so
-Q(t) = 1/P(t) in the notation of ``davis``: q_l = [t^l] Q(t) is entry 0
-of column l of ``davis._growth_columns``.  Sphere r, counted by entry k
-of column r, holds C(k, m) * q_(r-m) vertices that move by 2r + k - 2m.
-As m <= min(r, k), they move by at least max(k, 2r - k) and at most
-2r + k, and on an infinite group, one of a non-complete graph, both
-bounds are attained on every sphere: W_C has infinitely many cosets and
-a prefix of a u has no left descent in C, so q_l > 0 for every l.  The
-columns are normalized at the largest clique, so the profile needs C to
-be a maximum clique.  The lemma also limits the invariant cubes to bases
-in W_C; see ``involution``.
+step 1, W(t) = (1+t)^k * Q(t), where Q(t) counts the u by length, and
+W(t) = (1+t)^K / P(t) in the notation of ``davis``, K the size of a
+maximum clique, so Q(t) = (1+t)^(K-k) / P(t): q_l = [t^l] Q(t) is the
+rise of entry K - k at column l of ``davis._growth_columns``.  Sphere r
+holds C(k, m) * q_(r-m) vertices that move by 2r + k - 2m.  As
+m <= min(r, k), they move by at least max(k, 2r - k) and at most 2r + k,
+and on an infinite group, one of a non-complete graph, both bounds are
+attained on every sphere: W_C has infinitely many cosets and a prefix of
+a u has no left descent in C, so q_l > 0 for every l.  The lemma also
+limits the invariant cubes to bases in W_C; see ``involution``.
 
 ``certify`` bundles every check in the package into one verdict: the
 involution squares to the identity, its fixed point in the examined ball
@@ -126,13 +125,12 @@ def displacement_profile(
     inv: Involution, ball: Ball | BallCensus
 ) -> DisplacementProfile:
     """Tabulate displacement over each nonempty sphere up to the reliable
-    radius, read off the growth series; a clique that is not a maximum
+    radius, read off the growth series; a clique that is not a maximal
     clique, or an ``inv`` that is not its product, raises ``ValueError``."""
     graph = ball.graph
     _maximal_clique(inv, graph)
-    if inv.n != len(maximum_spherical(graph)):
-        raise ValueError(f"clique {inv.clique} is not a maximum clique of {graph!r}")
-    return _census_profile(inv, graph, max(ball.radius, 0), inf)
+    top = len(maximum_spherical(graph))
+    return _census_profile(inv, graph, max(ball.radius, 0), inf, top)
 
 
 class _LeastDisplacement:
@@ -157,13 +155,13 @@ class _LeastDisplacement:
 
 
 def _census_profile(
-    inv: Involution, graph: DefiningGraph, radius: int, max_vertices: float
+    inv: Involution, graph: DefiningGraph, radius: int, max_vertices: float, top: int
 ) -> DisplacementProfile:
-    """The displacement profile in ``ball_census``, from one walk of the
-    growth series: the census hands over q_0, ..., q_(radius - k)."""
+    """The displacement profile in ``ball_census``, ``top`` the clique number,
+    from one walk of the growth series: q_0, ..., q_(radius - top) of ``inv``."""
     k = inv.n
     qs: list[int] = []
-    _census(graph, radius, max_vertices, k, qs.append)
+    _census(graph, radius, max_vertices, top, qs.append, k)
     # recent[m] is q_(r-m); each such u gives C(k, m) vertices c * u.
     sizes = [comb(k, m) for m in range(k + 1)]
     descents = [m * size for m, size in enumerate(sizes)]

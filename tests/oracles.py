@@ -892,7 +892,7 @@ def corrupted_census(index: int, value: int) -> Callable:
     q_index; the census it returns is the real one.  No real series has a
     q <= 0 where ``certify`` reads, so its bound check is failed this way."""
 
-    def census(graph, radius, max_vertices, k, receive):
+    def census(graph, radius, max_vertices, k, receive, c=None):
         received = itertools.count()
         return _census(
             graph,
@@ -900,6 +900,7 @@ def corrupted_census(index: int, value: int) -> Callable:
             max_vertices,
             k,
             lambda q: receive(value if next(received) == index else q),
+            c,
         )
 
     return census

@@ -240,6 +240,15 @@ class TestBallCommands:
         assert "no radius fits" in err
         assert "last complete radius" not in err
 
+    def test_cap_that_fits_only_the_identity_names_radius_zero(self, capsys):
+        # Radius 0 fits a cap of 3, unlike a cap of 0, which fits none.
+        code, out, err = run(
+            capsys, "ball", "--preset", "pentagon", "--radius", "3",
+            "--max-vertices", "3",
+        )
+        assert (code, out) == (3, "")
+        assert err == "rcoxeter: vertex cap 3 exceeded; last complete radius was 0\n"
+
 
 class TestBallsBuilt:
     @pytest.mark.parametrize(

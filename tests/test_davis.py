@@ -4,7 +4,7 @@ import json
 import random
 import re
 import tracemalloc
-from math import comb
+from math import comb, inf
 
 import pytest
 
@@ -22,6 +22,7 @@ from rcoxeter import (
     cubes_at_vertex,
     export_complex,
     links_flag_check,
+    maximum_spherical,
     multiply,
     preset,
     sphere,
@@ -30,6 +31,7 @@ from rcoxeter import (
     word_to_text,
 )
 from rcoxeter.cli import main
+from rcoxeter.davis import _census
 from oracles import (
     assert_same_ball,
     bfs_ball,
@@ -141,6 +143,14 @@ class TestBuildBall:
             assert info.value.radius_reached == -1
             assert "no radius fits" in str(info.value)
 
+    def test_radius_zero_is_a_complete_radius(self):
+        assert str(ResourceCapError(3, 0)) == (
+            "vertex cap 3 exceeded; last complete radius was 0"
+        )
+        assert str(ResourceCapError(3, -1)) == (
+            "vertex cap 3 exceeded; no radius fits, since the identity alone is 1 vertex"
+        )
+
 
 class TestCapBeforeAllocation:
     """The census raises the cap error before any automaton state exists."""
@@ -195,6 +205,30 @@ class TestCapBeforeAllocation:
                 with pytest.raises(ResourceCapError) as info:
                     ball_census(graph, 5, max_vertices=cap)
                 assert info.value.radius_reached == sum(v <= cap for v in sizes) - 1
+
+    def test_clique_sizes_are_counted_up_to_the_radius_and_the_cap(self, monkeypatch):
+        # A clique larger than the radius fits no cube, and once the cliques
+        # outnumber the cap the walk raises, so no further size is counted.
+        import rcoxeter.davis as davis_module
+
+        real = davis_module._clique_counts
+        pulled = []
+
+        def counted(n, masks):
+            for size in real(n, masks):
+                pulled.append(size)
+                yield size
+
+        monkeypatch.setattr(davis_module, "_clique_counts", counted)
+        for radius in range(4):
+            pulled.clear()
+            ball_census(PENTAGON, radius)
+            assert pulled == [1, 5, 5][: radius + 1]
+        pulled.clear()
+        with pytest.raises(ResourceCapError):
+            ball_census(complete_graph(24), 30)
+        # 536,155 cliques have at most 7 generators, 1,271,626 at most 8.
+        assert pulled == [comb(24, d) for d in range(9)]
 
     def test_pentagon_at_radius_forty(self):
         for build in (build_ball, ball_census, certify):
@@ -275,6 +309,29 @@ class TestCensus:
         for radius in (n, n + 1, 10**6, 10**30):
             census = ball_census(graph, radius)
             assert (census.vertex_count, census.cells_by_dimension) == (2**n, whole)
+
+    def test_receiver_gets_the_qs_of_a_clique_of_any_size(self):
+        # W(t) = (1+t)^c * Q(t) for a clique of c generators, so the q's
+        # handed over for c rebuild every sphere; c left out is c = k.
+        for graph in ALL_PRESETS + (complete_graph(3), complete_graph(5)):
+            k = len(maximum_spherical(graph))
+            radius = k + 8
+            sizes = self.sphere_sizes(graph, radius)
+            default = []
+            _census(graph, radius, inf, k, default.append)
+            for c in range(k + 1):
+                qs = []
+                _census(graph, radius, inf, k, qs.append, c)
+                rebuilt = [
+                    sum(comb(c, m) * qs[r - m] for m in range(min(r, c) + 1))
+                    for r in range(len(qs))
+                ]
+                assert rebuilt == sizes[: len(qs)]
+                assert (qs == default) == (c == k)
+        # pentagon: 1/P(t) = 1/(1 - 3t + t^2)
+        qs = []
+        _census(PENTAGON, 7, inf, 2, qs.append)
+        assert qs == [1, 3, 8, 21, 55, 144]
 
     def test_sphere_sizes_match_the_ball_and_matrix_bfs(self):
         for graph, radius in ((SQUARE, 4), (DINFTY, 6), (PENTAGON, 4), (GRID, 5)):

@@ -21,6 +21,7 @@ from rcoxeter import (
     fixed_loci,
     has_order_two,
     invariant_cubes,
+    maximum_spherical,
     multiply,
     normal_form,
     preset,
@@ -126,21 +127,45 @@ def triangle_and_edge(u, v):
 
 class TestMaximalCliques:
     """The left-descent lemma needs only a maximal clique, so every maximal
-    clique has one fixed point.  A clique that is not maximal, or for the
-    profile not maximum, is rejected where it would give a wrong answer."""
+    clique has one fixed point, and its profile is read off the same
+    census walk as a maximum one's.  A clique that is not maximal is
+    rejected where it would give a wrong answer."""
+
+    @staticmethod
+    def assert_profile_is_walked(inv, ball, census):
+        profile = displacement_profile(inv, ball)
+        assert profile == displacement_profile(inv, census) == walked_profile(inv, ball)
+        assert profile.monotone
+        return profile
 
     def test_every_maximal_clique_of_random_graphs(self):
         rng = random.Random(1)
-        tried = 0
+        tried = below = 0
         for _ in range(200):
             graph = random_graph(rng, 6)
-            ball = build_ball(graph, 5)
+            ball, census = build_ball(graph, 5), ball_census(graph, 5)
+            top = len(maximum_spherical(graph))
             for clique in maximal_elements(spherical_poset(graph)):
                 inv = clique_involution(graph, clique)
                 assert invariant_cubes(inv, ball) == filtered_invariant_cubes(inv, ball)
                 assert fixed_loci(inv, ball).unique_point
+                self.assert_profile_is_walked(inv, ball, census)
                 tried += 1
-        assert tried == 529
+                below += inv.n < top
+        assert (tried, below) == (529, 151)
+
+    @pytest.mark.parametrize(
+        "graph, radius",
+        [(graph, 7) for graph in ALL_PRESETS]
+        + [(complete_graph(n), 2 * n) for n in range(1, 11)],
+        ids=["square", "dinfty", "pentagon", "grid"] + [f"K{n}" for n in range(1, 11)],
+    )
+    def test_every_maximal_clique_of_presets_and_complete_graphs(self, graph, radius):
+        ball, census = build_ball(graph, radius), ball_census(graph, radius)
+        for clique in maximal_elements(spherical_poset(graph)):
+            inv = clique_involution(graph, clique)
+            profile = self.assert_profile_is_walked(inv, ball, census)
+            assert profile.mins[0] == inv.n
 
     def test_clique_that_is_not_maximal_is_rejected(self):
         # (d,) lies in the clique (a, d); a commutes with d, so the cube
@@ -158,17 +183,15 @@ class TestMaximalCliques:
             with pytest.raises(ValueError, match="not a maximal clique"):
                 query(inv, ball)
 
-    def test_profile_needs_a_maximum_clique(self):
-        # (d, e) is maximal, so its fixed point is unique, but the series
-        # is read at the largest clique, (a, b, c).
+    def test_profile_of_a_clique_below_the_maximum(self):
+        # (d, e) is maximal but smaller than (a, b, c), so its q's are the
+        # rise of entry 3 - 2 of the columns, not of entry 0.
         graph = triangle_and_edge("d", "e")
         inv = clique_involution(graph, (3, 4))
         ball = build_ball(graph, 7)
         assert fixed_loci(inv, ball).unique_point
-        assert walked_profile(inv, ball).means[:2] == (2.0, 3.2)
-        for where in (ball, ball_census(graph, 7)):
-            with pytest.raises(ValueError, match="not a maximum clique"):
-                displacement_profile(inv, where)
+        profile = self.assert_profile_is_walked(inv, ball, ball_census(graph, 7))
+        assert profile.means[:2] == (2.0, 3.2)
 
     @pytest.mark.parametrize(
         "graph, clique",
