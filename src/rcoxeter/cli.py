@@ -153,7 +153,7 @@ def _run(args) -> tuple[str | Iterator[str], int]:
         from .spherical import maximum_spherical
 
         return _dump_json([graph.labels[g] for g in maximum_spherical(graph)]), 0
-    from .davis import ball_census, build_ball, cubes_at_vertex, export_complex
+    from .davis import _census, ball_census, build_ball, cubes_at_vertex, export_complex
     from .involution import build_involution, fixed_loci
     from .probe import _census_profile, certify
 
@@ -162,15 +162,16 @@ def _run(args) -> tuple[str | Iterator[str], int]:
     if args.command == "certify":
         certificate = certify(graph, args.radius, max_vertices=args.max_vertices)
         return _dump_json(certificate.as_dict()), 0 if certificate.verdict else 2
-    if args.command == "profile":
-        inv = build_involution(graph)
-        profile = _census_profile(inv, graph, args.radius, args.max_vertices, inv.n)
-        return _dump_json(profile.as_dict()), 0
-    if args.command in ("ball", "fixed"):
+    if args.command == "ball":
         census = ball_census(graph, args.radius, max_vertices=args.max_vertices)
-        if args.command == "ball":
-            return _dump_json(census.as_dict()), 0
-        return _dump_json(fixed_loci(build_involution(graph), census).as_dict()), 0
+        return _dump_json(census.as_dict()), 0
+    if args.command in ("fixed", "profile"):
+        inv = build_involution(graph)
+        if args.command == "profile":
+            report = _census_profile(inv, graph, args.radius, args.max_vertices, inv.n)
+        else:
+            report = fixed_loci(inv, _census(graph, args.radius, args.max_vertices, inv.n))
+        return _dump_json(report.as_dict()), 0
     ball = build_ball(graph, args.radius, max_vertices=args.max_vertices)
     if args.command == "cubes":
         vertex = parse_word(" ".join(args.word), graph)

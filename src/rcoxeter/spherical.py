@@ -94,34 +94,32 @@ def all_cliques(graph: DefiningGraph) -> tuple[Clique, ...]:
     return tuple(clique for level in levels for clique, _ in level)
 
 
-def _maximal_clique_masks(n: int, masks: tuple[int, ...]) -> list[int]:
-    """Bron-Kerbosch with pivoting, on bitmask vertex sets."""
-    found: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            found.append(r)
-            return
-        pivot = max(_bits(p | x), key=lambda v: (p & masks[v]).bit_count())
-        for v in _bits(p & ~masks[pivot]):
-            bit = 1 << v
-            expand(r | bit, p & masks[v], x & masks[v])
-            p &= ~bit
-            x |= bit
-
-    expand(0, (1 << n) - 1, 0)
-    return found
-
-
 def maximum_spherical(graph: DefiningGraph) -> Clique:
     """A maximum clique; ties go to the lexicographically least index tuple.
+
+    A depth-first branch-and-bound search listing no maximal clique
+    (Carraghan and Pardalos, 1990).  A clique grows by its least candidate
+    first, a vertex above its largest and adjacent to all of it, so cliques
+    come in lexicographic order; only a strictly larger one replaces the
+    best and only a branch that cannot beat it is cut: the least maximum wins.
 
     >>> from .graphs import preset
     >>> maximum_spherical(preset("grid"))
     (0, 2)
     """
-    masks = _maximal_clique_masks(graph.n, graph.neighbor_masks)
-    return min((tuple(_bits(mask)) for mask in masks), key=lambda c: (-len(c), c))
+    best: Clique = ()
+
+    def grow(clique: Clique, cand: int) -> None:
+        nonlocal best
+        if len(clique) > len(best):
+            best = clique
+        while cand and len(clique) + cand.bit_count() > len(best):
+            v = (cand & -cand).bit_length() - 1
+            cand ^= 1 << v
+            grow(clique + (v,), cand & graph.neighbor_masks[v])
+
+    grow((), (1 << graph.n) - 1)
+    return best
 
 
 class SphericalPoset(_Frozen):

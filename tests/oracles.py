@@ -5,8 +5,12 @@ elements are identified by their exact reflection matrices, which are
 computed by plain matrix products over raw words.  Clique enumeration is
 redone by filtering all subsets, and ``listed_clique_counts`` counts
 cliques by size with one extension mask per clique, where the library
-merges cliques with equal masks.  Normal forms are also recomputed by a
-two-phase algorithm (reduce to a geodesic, then sort it greedily), which
+merges cliques with equal masks.  ``maximal_clique_masks`` lists every
+maximal clique by Bron-Kerbosch with pivoting, and
+``listed_maximum_clique`` takes the least largest of them, where the
+library finds a maximum clique by a branch-and-bound search that lists
+none.  Normal forms are also recomputed by a two-phase algorithm (reduce
+to a geodesic, then sort it greedily), which
 shares no code with the one-pass step in ``rcoxeter.words``.  Davis balls
 are rebuilt by a breadth-first search that finds vertices and cubes with
 ``multiply`` instead of the shortlex automaton of ``rcoxeter.davis``.  The
@@ -244,6 +248,46 @@ def listed_clique_counts(n: int, masks: tuple[int, ...]) -> Iterator[int]:
         level = [
             above & masks[v] >> v + 1 << v + 1 for above in level for v in _bits(above)
         ]
+
+
+def maximal_clique_masks(n: int, masks: tuple[int, ...]) -> list[int]:
+    """Every maximal clique as a bitmask, by Bron-Kerbosch with pivoting:
+    the search ``maximum_spherical`` made before it grew cliques in
+    lexicographic order, listing them all to take the least largest."""
+    found: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if not p and not x:
+            found.append(r)
+            return
+        pivot = max(_bits(p | x), key=lambda v: (p & masks[v]).bit_count())
+        for v in _bits(p & ~masks[pivot]):
+            bit = 1 << v
+            expand(r | bit, p & masks[v], x & masks[v])
+            p &= ~bit
+            x |= bit
+
+    expand(0, (1 << n) - 1, 0)
+    return found
+
+
+def listed_maximum_clique(graph: DefiningGraph) -> tuple[int, ...]:
+    """The lexicographically least of the largest cliques that
+    ``maximal_clique_masks`` lists."""
+    masks = maximal_clique_masks(graph.n, graph.neighbor_masks)
+    return min((tuple(_bits(mask)) for mask in masks), key=lambda c: (-len(c), c))
+
+
+def moon_moser_graph(m: int) -> DefiningGraph:
+    """K_{3,...,3} with m parts: generators 3i, 3i+1 and 3i+2 form part i,
+    and two generators commute when their parts differ.  Its 3^m maximal
+    cliques, one generator from each part, are the most an n = 3m graph
+    can have (Moon and Moser, 1965)."""
+    labels = tuple(f"m{i}" for i in range(3 * m))
+    return DefiningGraph.from_edges(
+        labels,
+        [(a, b) for i, a in enumerate(labels) for b in labels[i // 3 * 3 + 3 :]],
+    )
 
 
 def lex_cliques(graph: DefiningGraph, radius: int) -> list[tuple[Clique, int]]:

@@ -475,38 +475,41 @@ class TestOneWalk:
         ),
         ids=("pentagon-r8", "dinfty-r100", "grid-r12", "K6-r6", "K4-r1e30"),
     )
-    @pytest.mark.parametrize("command", ("certify", "profile"))
+    @pytest.mark.parametrize("command", ("certify", "profile", "fixed"))
     def test_one_clique_search_and_one_series_walk(
         self, monkeypatch, capsys, command, graph, radius
     ):
         # The census's walk feeds the cap, the cells and the profile, and
-        # the involution's clique gives the census its k: Bron-Kerbosch
+        # the involution's clique gives the census its k: the clique search
         # runs once, and the series is asked for columns 0..R at most.
         import rcoxeter.davis as davis_module
-        import rcoxeter.spherical as spherical_module
+        import rcoxeter.involution as involution_module
+        import rcoxeter.probe as probe_module
         from rcoxeter.cli import main
 
         searches, columns = [], []
-        real_search = spherical_module._maximal_clique_masks
         real_columns = davis_module._growth_columns
 
-        def counted_search(*args):
-            searches.append(args)
-            return real_search(*args)
+        def counted_search(graph):
+            searches.append(graph)
+            return maximum_spherical(graph)
 
         def counted_columns(by_size):
             for column in real_columns(by_size):
                 columns.append(column[-1])
                 yield column
 
-        monkeypatch.setattr(spherical_module, "_maximal_clique_masks", counted_search)
+        # Each module that searches looks the search up by its own name.
+        for module in (davis_module, involution_module, probe_module):
+            monkeypatch.setattr(module, "maximum_spherical", counted_search)
         monkeypatch.setattr(davis_module, "_growth_columns", counted_columns)
         if command == "certify":
             assert certify(graph, radius).verdict
         else:
-            # ``rcoxeter profile`` on this graph, given under a preset's name.
+            # ``rcoxeter profile`` or ``fixed`` on this graph, given under a
+            # preset's name.
             monkeypatch.setattr("rcoxeter.cli.preset", lambda name: graph)
-            assert main(["profile", "--preset", "square", "--radius", str(radius)]) == 0
+            assert main([command, "--preset", "square", "--radius", str(radius)]) == 0
             assert capsys.readouterr().err == ""
         assert len(searches) == 1
         assert 0 < len(columns) <= radius + 1

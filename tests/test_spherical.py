@@ -14,13 +14,16 @@ from rcoxeter import (
 )
 from rcoxeter import spherical
 from rcoxeter.graphs import _bits
-from rcoxeter.spherical import _clique_counts, _maximal_clique_masks
+from rcoxeter.spherical import _clique_counts
 from oracles import (
     brute_force_cliques,
     brute_force_maximum_clique,
     complete_graph,
     listed_clique_counts,
+    listed_maximum_clique,
+    maximal_clique_masks,
     maximal_elements,
+    moon_moser_graph,
     random_graph,
 )
 
@@ -180,15 +183,41 @@ class TestMaximumSpherical:
             assert maximum_spherical(graph) == brute_force_maximum_clique(graph)
 
     def test_search_finds_each_maximal_clique_once(self):
-        # maximum_spherical reads only the largest cliques the search
-        # finds, so this pins the rest of its result: every maximal
+        # listed_maximum_clique reads only the largest cliques the oracle
+        # lists, so this pins the rest of what it lists: every maximal
         # clique, each once, and nothing below one.
         rng = random.Random(30)
         graphs = list(ALL_PRESETS) + [random_graph(rng, 9) for _ in range(40)]
         for graph in graphs:
-            found = _maximal_clique_masks(graph.n, graph.neighbor_masks)
+            found = maximal_clique_masks(graph.n, graph.neighbor_masks)
             cliques = sorted(tuple(_bits(mask)) for mask in found)
             assert cliques == sorted(maximal_elements(spherical_poset(graph)))
+
+    def test_matches_the_least_largest_listed_clique(self):
+        rng = random.Random(32)
+        graphs = [
+            *ALL_PRESETS,
+            *(complete_graph(n) for n in range(1, 25)),
+            *(moon_moser_graph(m) for m in range(1, 9)),
+            *(random_graph(rng, 14, 0.1 + 0.85 * i / 199) for i in range(200)),
+        ]
+        for graph in graphs:
+            assert maximum_spherical(graph) == listed_maximum_clique(graph)
+
+    def test_lists_no_maximal_clique(self):
+        # K_{3,...,3} with 8 parts has 3^8 = 6,561 maximal cliques, all
+        # of the largest size; listing them peaked at 266-472 KB (Python
+        # 3.11).  The search holds one path of at most 8 cliques and the
+        # best one, 592 bytes.
+        graph = moon_moser_graph(8)
+        tracemalloc.start()
+        try:
+            clique = maximum_spherical(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clique == tuple(range(0, 24, 3))
+        assert peak < 4096
 
     def test_size_is_max_over_poset(self):
         for graph in ALL_PRESETS:
