@@ -1,8 +1,9 @@
 """Displacement growth and the full certificate.
 
 No vertex is fixed by the clique involution, so the next question is how
-far it moves each sphere.  The per-sphere minimum displacement growing
-without dips is the finite shadow of a fixed-point-free action out at
+far it moves each sphere.  The least displacement on sphere r meeting
+the bound max(k, 2r - k) of the left-descent lemma, k the size of the
+clique, is the finite shadow of a fixed-point-free action out at
 infinity: a fixed direction would keep displacement bounded along some
 escaping sequence.  The certificate bundles every check into one verdict.
 """

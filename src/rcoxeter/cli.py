@@ -168,15 +168,18 @@ def _run(args) -> tuple[str | Iterator[str], int]:
     if args.command in ("fixed", "profile"):
         inv = build_involution(graph)
         if args.command == "profile":
-            report = _census_profile(inv, graph, args.radius, args.max_vertices, inv.n)
+            report = _census_profile(inv, args.radius, args.max_vertices, inv.n)
         else:
             report = fixed_loci(inv, _census(graph, args.radius, args.max_vertices, inv.n))
         return _dump_json(report.as_dict()), 0
-    ball = build_ball(graph, args.radius, max_vertices=args.max_vertices)
     if args.command == "cubes":
+        census = ball_census(graph, args.radius, max_vertices=args.max_vertices)
         vertex = parse_word(" ".join(args.word), graph)
-        if vertex not in ball:
+        if len(vertex) > args.radius:
             raise ValueError(f"vertex {_word_out(vertex, graph)!r} is not in the ball")
+        # A cube (b, T) through v has |b| + |T| <= |v| + k: build only that ball.
+        k = args.radius - census.reliable_radius
+        ball = build_ball(graph, min(args.radius, len(vertex) + k), args.max_vertices)
         grouped = cubes_at_vertex(ball, vertex)
         payload = {
             "vertex": word_to_text(vertex, graph),
@@ -196,6 +199,7 @@ def _run(args) -> tuple[str | Iterator[str], int]:
         }
         return _dump_json(payload), 0
     if args.command == "export":
+        ball = build_ball(graph, args.radius, max_vertices=args.max_vertices)
         return export_complex(ball, args.format), 0
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .davis import Ball, BallCensus, Cube
 from .graphs import DefiningGraph, _bits
-from .spherical import Clique, _mask_of, maximum_spherical
+from .spherical import Clique, _mask_of, _near, maximum_spherical
 from .words import IDENTITY, Word, conjugate, multiply, support, word_to_text
 
 
@@ -93,14 +93,6 @@ def _maximal_clique(inv: Involution, graph: DefiningGraph) -> None:
         raise ValueError(f"gamma {clique} is not the product of its sorted clique")
     if _near(mask, graph) != mask:
         raise ValueError(f"clique {clique} is not a maximal clique of {graph!r}")
-
-
-def _near(mask: int, graph: DefiningGraph) -> int:
-    """The generators in, or adjacent to, every generator of the mask."""
-    near = (1 << graph.n) - 1
-    for g in _bits(mask):
-        near &= graph.neighbor_masks[g] | 1 << g
-    return near
 
 
 def invariant_cubes(inv: Involution, ball: Ball | BallCensus) -> tuple[Cube, ...]:

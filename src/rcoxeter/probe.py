@@ -130,7 +130,7 @@ def displacement_profile(
     graph = ball.graph
     _maximal_clique(inv, graph)
     top = len(maximum_spherical(graph))
-    return _census_profile(inv, graph, max(ball.radius, 0), inf, top)
+    return _census_profile(inv, max(ball.radius, 0), inf, top)
 
 
 class _LeastDisplacement:
@@ -155,13 +155,13 @@ class _LeastDisplacement:
 
 
 def _census_profile(
-    inv: Involution, graph: DefiningGraph, radius: int, max_vertices: float, top: int
+    inv: Involution, radius: int, max_vertices: float, top: int
 ) -> DisplacementProfile:
-    """The displacement profile in ``ball_census``, ``top`` the clique number,
-    from one walk of the growth series: q_0, ..., q_(radius - top) of ``inv``."""
+    """The profile in ``ball_census`` of ``inv.graph``, ``top`` its clique
+    number, from one growth-series walk: q_0, ..., q_(radius - top) of ``inv``."""
     k = inv.n
     qs: list[int] = []
-    _census(graph, radius, max_vertices, top, qs.append, k)
+    _census(inv.graph, radius, max_vertices, top, qs.append, k)
     # recent[m] is q_(r-m); each such u gives C(k, m) vertices c * u.
     sizes = [comb(k, m) for m in range(k + 1)]
     descents = [m * size for m, size in enumerate(sizes)]

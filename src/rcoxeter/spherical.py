@@ -29,10 +29,19 @@ def _mask_of(subset: Iterable[int], n: int) -> int:
     return mask
 
 
+def _near(mask: int, graph: DefiningGraph) -> int:
+    """The generators in, or adjacent to, every generator of the mask; the
+    mask is a clique when it lies within them, a maximal one if it is them."""
+    near = (1 << graph.n) - 1
+    for g in _bits(mask):
+        near &= graph.neighbor_masks[g] | 1 << g
+    return near
+
+
 def is_spherical(subset: Iterable[int], graph: DefiningGraph) -> bool:
     """True when the subset is a clique (the empty set vacuously is)."""
     mask = _mask_of(subset, graph.n)
-    return all(mask & ~graph.neighbor_masks[g] == 1 << g for g in _bits(mask))
+    return _near(mask, graph) & mask == mask
 
 
 def _clique_levels(
@@ -47,7 +56,8 @@ def _clique_levels(
     comes paired with the root vertices above its largest that are adjacent
     to all of it: the clique's extensions, so the next size has as many
     cliques as those masks have bits.  Cliques are grown by their largest
-    vertex, and a size is built only when the next one is asked for.
+    vertex, and a size is built only when the next one is asked for.  A
+    vertex's mask is read only above the vertex itself.
     """
     level: list[tuple[Clique, int]] = [((), root & (1 << n) - 1)]
     while level:
@@ -182,24 +192,15 @@ class ChamberComplex(NamedTuple):
 
 
 def chamber_complex(poset: SphericalPoset) -> ChamberComplex:
-    """All chains of the poset, ordered by size then element rank."""
+    """All chains of the poset, ordered by size then element rank: the
+    nonempty cliques of the graph joining each element to every later one
+    that strictly contains it, in the order ``_clique_levels`` lists them."""
     elements = poset.elements
-    # elements are sorted by size, so strict supersets always come later
-    successors = [
-        [j for j in range(i + 1, len(elements)) if set(elements[i]) < set(elements[j])]
-        for i in range(len(elements))
+    masks = [_mask_of(element, poset.graph.n) for element in elements]
+    n = len(masks)
+    above = [
+        sum(1 << j for j in range(i + 1, n) if mask & masks[j] == mask != masks[j])
+        for i, mask in enumerate(masks)
     ]
-    chains: list[tuple[int, ...]] = []
-
-    def grow(chain: list[int]) -> None:
-        chains.append(tuple(chain))
-        for j in successors[chain[-1]]:
-            chain.append(j)
-            grow(chain)
-            chain.pop()
-
-    for i in range(len(elements)):
-        grow([i])
-    chains.sort(key=lambda c: (len(c), c))
-    simplices = tuple(tuple(elements[i] for i in chain) for chain in chains)
-    return ChamberComplex(poset, simplices)
+    chains = (c for level in _clique_levels(n, above) for c, _ in level if c)
+    return ChamberComplex(poset, tuple(tuple(elements[i] for i in c) for c in chains))

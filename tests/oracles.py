@@ -9,7 +9,9 @@ merges cliques with equal masks.  ``maximal_clique_masks`` lists every
 maximal clique by Bron-Kerbosch with pivoting, and
 ``listed_maximum_clique`` takes the least largest of them, where the
 library finds a maximum clique by a branch-and-bound search that lists
-none.  Normal forms are also recomputed by a two-phase algorithm (reduce
+none.  ``recursive_chamber_complex`` grows the chains of the spherical
+poset by a recursion over successor lists and sorts them, where the
+library lists them as cliques.  Normal forms are also recomputed by a two-phase algorithm (reduce
 to a geodesic, then sort it greedily), which
 shares no code with the one-pass step in ``rcoxeter.words``.  Davis balls
 are rebuilt by a breadth-first search that finds vertices and cubes with
@@ -64,6 +66,7 @@ from typing import Callable, Iterator, NamedTuple
 from rcoxeter import (
     IDENTITY,
     Ball,
+    ChamberComplex,
     Clique,
     Cube,
     DefiningGraph,
@@ -276,6 +279,32 @@ def listed_maximum_clique(graph: DefiningGraph) -> tuple[int, ...]:
     ``maximal_clique_masks`` lists."""
     masks = maximal_clique_masks(graph.n, graph.neighbor_masks)
     return min((tuple(_bits(mask)) for mask in masks), key=lambda c: (-len(c), c))
+
+
+def recursive_chamber_complex(poset: SphericalPoset) -> ChamberComplex:
+    """``spherical.chamber_complex`` as it was before it listed the chains as
+    cliques: each element's successors are the later elements that strictly
+    contain it, each chain grows by a successor of its last element, and
+    the chains are sorted by size, then by element rank."""
+    elements = poset.elements
+    successors = [
+        [j for j in range(i + 1, len(elements)) if set(elements[i]) < set(elements[j])]
+        for i in range(len(elements))
+    ]
+    chains: list[tuple[int, ...]] = []
+
+    def grow(chain: list[int]) -> None:
+        chains.append(tuple(chain))
+        for j in successors[chain[-1]]:
+            chain.append(j)
+            grow(chain)
+            chain.pop()
+
+    for i in range(len(elements)):
+        grow([i])
+    chains.sort(key=lambda c: (len(c), c))
+    simplices = tuple(tuple(elements[i] for i in chain) for chain in chains)
+    return ChamberComplex(poset, simplices)
 
 
 def moon_moser_graph(m: int) -> DefiningGraph:

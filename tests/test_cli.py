@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import re
 import tempfile
 import tracemalloc
@@ -12,9 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcoxeter import all_cliques, certify, parse_graph, preset
+from rcoxeter import (
+    PRESETS,
+    all_cliques,
+    build_ball,
+    certify,
+    cubes_at_vertex,
+    parse_graph,
+    preset,
+    word_to_text,
+)
 from rcoxeter.cli import main
-from oracles import complete_graph_file
+from oracles import complete_graph_file, random_graph
 
 
 COMMANDS = (
@@ -273,6 +283,57 @@ class TestBallsBuilt:
         code, out, _ = run(capsys, command, "--preset", "pentagon", "--radius", "5", *words)
         assert code == 0 and out
         assert len(balls) == built
+
+    def test_cubes_builds_only_the_ball_its_answer_lies_in(self, capsys, monkeypatch):
+        # A cube through v0 ends within |v0| + k = 3 of the identity.
+        import rcoxeter.davis as davis_module
+
+        radii = []
+        real_build = davis_module.build_ball
+
+        def recorded_build(graph, radius, *args, **kwargs):
+            radii.append(radius)
+            return real_build(graph, radius, *args, **kwargs)
+
+        monkeypatch.setattr(davis_module, "build_ball", recorded_build)
+        code, out, _ = run(capsys, "cubes", "--preset", "pentagon", "--radius", "10", "v0")
+        assert code == 0 and json.loads(out)["vertex"] == "v0"
+        assert radii == [3]
+
+    def test_cubes_match_the_full_ball_at_every_vertex(self, capsys, tmp_path):
+        rng = random.Random(33)
+        graphs = [*PRESETS.values(), *(random_graph(rng, 4) for _ in range(40))]
+        for i, graph in enumerate(graphs):
+            path = tmp_path / f"g{i}.json"
+            path.write_text(json.dumps({
+                "vertices": list(graph.labels),
+                "edges": [[graph.labels[a], graph.labels[b]] for a, b in graph.edges],
+            }))
+            radius = rng.randint(0, 5)
+            ball = build_ball(graph, radius)
+            for v in ball.vertices:
+                text = word_to_text(v, graph)
+                code, out, _ = run(
+                    capsys, "cubes", "--graph", str(path), "--radius", str(radius),
+                    text or "e",
+                )
+                assert code == 0
+                assert json.loads(out) == {
+                    "vertex": text,
+                    "by_dimension": [
+                        {
+                            "dimension": d,
+                            "cubes": [
+                                {
+                                    "base": word_to_text(c.base, graph),
+                                    "axis": [graph.labels[g] for g in c.axis],
+                                }
+                                for c in cubes
+                            ],
+                        }
+                        for d, cubes in cubes_at_vertex(ball, v).items()
+                    ],
+                }
 
     def test_huge_radius_on_a_line_exits_three_at_once(self, capsys):
         code, out, err = run(capsys, "ball", "--preset", "dinfty", "--radius", "100000000")

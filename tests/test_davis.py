@@ -455,6 +455,24 @@ class TestCubesAtVertex:
         with pytest.raises(ValueError, match="not in the ball"):
             cubes_at_vertex(build_ball(DINFTY, 2), (0, 1, 0))
 
+    def test_the_ball_of_radius_length_plus_k_holds_every_cube(self):
+        # A cube (b, T) through v has |b| + |T| <= |v| + k, so the cubes
+        # through v are those of the ball of radius min(R, |v| + k), the
+        # one ``rcoxeter cubes`` builds.
+        rng = random.Random(33)
+        graphs = [
+            *ALL_PRESETS,
+            *(complete_graph(n) for n in range(1, 6)),
+            *(random_graph(rng, 6) for _ in range(40)),
+        ]
+        for graph in graphs:
+            k = len(maximum_spherical(graph))
+            balls = [build_ball(graph, r) for r in range(6)]
+            for radius, ball in enumerate(balls):
+                for v in ball.vertices:
+                    near = balls[min(radius, len(v) + k)]
+                    assert cubes_at_vertex(near, v) == cubes_at_vertex(ball, v)
+
 
 class TestCubesAtVertexContract:
     """The shape ``rcoxeter cubes`` prints from: ascending dimensions, no

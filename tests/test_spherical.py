@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from rcoxeter import (
+    SphericalPoset,
     all_cliques,
     chamber_complex,
     is_spherical,
@@ -25,6 +26,7 @@ from oracles import (
     maximal_elements,
     moon_moser_graph,
     random_graph,
+    recursive_chamber_complex,
 )
 
 SQUARE = preset("square")
@@ -44,6 +46,18 @@ class TestIsSpherical:
     def test_empty_set_vacuously_spherical(self):
         for graph in ALL_PRESETS:
             assert is_spherical((), graph)
+
+    def test_near_every_mask(self):
+        # The empty mask is near every generator, and is no maximal clique.
+        rng = random.Random(35)
+        for graph in ALL_PRESETS + tuple(random_graph(rng, 6) for _ in range(20)):
+            for mask in range(1 << graph.n):
+                near = sum(
+                    1 << h
+                    for h in range(graph.n)
+                    if all(h == g or graph.adjacent(h, g) for g in _bits(mask))
+                )
+                assert spherical._near(mask, graph) == near
 
     def test_out_of_range(self):
         # The square has generators 0 and 1: index 2 is the first too large.
@@ -279,3 +293,28 @@ class TestChamberComplex:
             for chain in complex_.maximal_chains:
                 assert chain[0] == ()
                 assert chain[-1] in maximal
+
+    def test_matches_the_recursive_oracle(self):
+        rng = random.Random(33)
+        graphs = [
+            *ALL_PRESETS,
+            *(complete_graph(n) for n in range(1, 7)),
+            *(random_graph(rng, 8) for _ in range(300)),
+        ]
+        for graph in graphs:
+            poset = spherical_poset(graph)
+            assert chamber_complex(poset) == recursive_chamber_complex(poset)
+
+    def test_shuffled_poset_matches_the_recursive_oracle(self):
+        # With the elements out of size order a superset can come before
+        # its subset; only a later strict superset extends a chain.
+        rng = random.Random(34)
+        graphs = [
+            *ALL_PRESETS, complete_graph(4), *(random_graph(rng, 7) for _ in range(40))
+        ]
+        for graph in graphs:
+            elements = list(all_cliques(graph))
+            for _ in range(3):
+                rng.shuffle(elements)
+                poset = SphericalPoset(graph, tuple(elements))
+                assert chamber_complex(poset) == recursive_chamber_complex(poset)
