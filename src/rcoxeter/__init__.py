@@ -28,9 +28,9 @@ _SUBMODULE_OF = {
         " tits_matrix",
         "spherical": "ChamberComplex Clique SphericalPoset all_cliques"
         " chamber_complex is_spherical maximum_spherical spherical_poset",
-        "davis": "Ball BallCensus Cube FlagCheckReport FlagViolation"
-        " ResourceCapError ball_census build_ball canonical_cube cubes_at_vertex"
-        " export_complex links_flag_check sphere",
+        "growth": "BallCensus Cube ResourceCapError ball_census",
+        "davis": "Ball FlagCheckReport FlagViolation build_ball canonical_cube"
+        " cubes_at_vertex export_complex links_flag_check sphere",
         "involution": "FixedLocus FixedPointReport Involution antipodal_check"
         " build_involution fixed_loci invariant_cubes",
         "probe": "Certificate DisplacementProfile certify displacement_profile",

@@ -53,11 +53,40 @@ def _cliques_json(graph: DefiningGraph) -> Iterator[str]:
     yield "]\n"
 
 
-def _build_parser() -> _Parser:
+_JSON = ("json",)
+_WORD = (("word", "+"),)
+
+#: Every command, in the order ``--help`` lists them: its help, whether it
+#: takes ``--radius``, its ``--format`` choices, what ``--max-vertices``
+#: bounds ("" for no such option) and its positional arguments with their
+#: nargs.
+_COMMANDS = {
+    "nf": ("shortlex normal form of a word", False, (), "", _WORD),
+    "mul": ("product of two words (quote multi-label words)", False, (), "",
+            (("x", None), ("y", None))),
+    "order": ("order of an element: 1, 2 or infinity", False, (), "", _WORD),
+    "cliques": ("all spherical subsets", False, _JSON, "the chamber", ()),
+    "maxclique": ("the maximum spherical subset", False, _JSON, "", ()),
+    "gamma": ("the involution built from a maximum clique", False, _JSON, "", ()),
+    "ball": ("census of a Davis-complex ball", True, _JSON, "the ball", ()),
+    "cubes": ("cubes at a vertex, by dimension", True, _JSON, "the ball", _WORD),
+    "fixed": ("fixed-point report for the involution", True, _JSON, "the ball", ()),
+    "profile": ("displacement statistics per sphere", True, _JSON, "the ball", ()),
+    "certify": ("run all checks and emit a certificate", True, _JSON, "the ball", ()),
+    "export": ("full complex as JSON or 1-skeleton DOT", True, ("json", "dot"),
+               "the ball", ()),
+}
+
+
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser for ``argv``: with only the subparser of the command that
+    ``argv`` starts with, or with all of them when it starts with none, so
+    that the top-level help and its errors list every command."""
     parser = _Parser(prog="rcoxeter", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name: str, help: str, radius: bool = False, formats=(), cap: str = ""):
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        help, radius, formats, cap, positionals = _COMMANDS[name]
         p = sub.add_parser(name, help=help)
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--preset", choices=sorted(PRESETS), help="built-in graph")
@@ -69,7 +98,6 @@ def _build_parser() -> _Parser:
         )
         if radius:
             p.add_argument("--radius", type=int, required=True, metavar="N")
-            cap = "the ball"
         if cap:
             p.add_argument(
                 "--max-vertices", type=int, default=1_000_000, metavar="N",
@@ -77,30 +105,8 @@ def _build_parser() -> _Parser:
             )
         if formats:
             p.add_argument("--format", choices=formats, default="json")
-        return p
-
-    add("nf", "shortlex normal form of a word").add_argument("word", nargs="+")
-    p = add("mul", "product of two words (quote multi-label words)")
-    p.add_argument("x")
-    p.add_argument("y")
-    add("order", "order of an element: 1, 2 or infinity").add_argument(
-        "word", nargs="+"
-    )
-    json_only = ("json",)
-    add("cliques", "all spherical subsets", formats=json_only, cap="the chamber")
-    add("maxclique", "the maximum spherical subset", formats=json_only)
-    add("gamma", "the involution built from a maximum clique", formats=json_only)
-    add("ball", "census of a Davis-complex ball", radius=True, formats=json_only)
-    add(
-        "cubes", "cubes at a vertex, by dimension", radius=True, formats=json_only
-    ).add_argument("word", nargs="+")
-    add("fixed", "fixed-point report for the involution", radius=True, formats=json_only)
-    add("profile", "displacement statistics per sphere", radius=True, formats=json_only)
-    add("certify", "run all checks and emit a certificate", radius=True, formats=json_only)
-    add(
-        "export", "full complex as JSON or 1-skeleton DOT", radius=True,
-        formats=("json", "dot"),
-    )
+        for positional, nargs in positionals:
+            p.add_argument(positional, nargs=nargs)
     return parser
 
 
@@ -153,7 +159,7 @@ def _run(args) -> tuple[str | Iterator[str], int]:
         from .spherical import maximum_spherical
 
         return _dump_json([graph.labels[g] for g in maximum_spherical(graph)]), 0
-    from .davis import _census, ball_census, build_ball, cubes_at_vertex, export_complex
+    from .growth import _census, ball_census
     from .involution import build_involution, fixed_loci
     from .probe import _census_profile, certify
 
@@ -173,6 +179,8 @@ def _run(args) -> tuple[str | Iterator[str], int]:
             report = fixed_loci(inv, _census(graph, args.radius, args.max_vertices, inv.n))
         return _dump_json(report.as_dict()), 0
     if args.command == "cubes":
+        from .davis import build_ball, cubes_at_vertex
+
         census = ball_census(graph, args.radius, max_vertices=args.max_vertices)
         vertex = parse_word(" ".join(args.word), graph)
         if len(vertex) > args.radius:
@@ -199,13 +207,17 @@ def _run(args) -> tuple[str | Iterator[str], int]:
         }
         return _dump_json(payload), 0
     if args.command == "export":
+        from .davis import build_ball, export_complex
+
         ball = build_ball(graph, args.radius, max_vertices=args.max_vertices)
         return export_complex(ball, args.format), 0
     raise AssertionError(f"unhandled command {args.command}")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         text, code = _run(args)
@@ -232,8 +244,8 @@ def main(argv=None) -> int:
 def _cap_errors() -> tuple[type[Exception], ...]:
     # Called only when an exception gets past the clauses above it in
     # ``main``, none of which catches a cap error, so a command that never
-    # loads ``davis`` does not load it for this.
-    from .davis import ResourceCapError
+    # loads ``growth`` does not load it for this.
+    from .growth import ResourceCapError
 
     return ResourceCapError, _CliqueCapError
 

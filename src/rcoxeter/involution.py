@@ -40,12 +40,15 @@ fixed point at its center.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .davis import Ball, BallCensus, Cube
 from .graphs import DefiningGraph, _bits
+from .growth import BallCensus, Cube
 from .spherical import Clique, _mask_of, _near, maximum_spherical
 from .words import IDENTITY, Word, conjugate, multiply, support, word_to_text
+
+if TYPE_CHECKING:  # for annotations only: no check here builds a Ball
+    from .davis import Ball
 
 
 class Involution(NamedTuple):

@@ -90,7 +90,7 @@ from rcoxeter import (
     support,
     word_to_text,
 )
-from rcoxeter.davis import _census, _growth_columns
+from rcoxeter.growth import _census, _growth_columns
 from rcoxeter.graphs import _bits
 from rcoxeter.spherical import _clique_counts, _clique_levels, _mask_of
 
@@ -736,7 +736,7 @@ def closed_form_spheres(graph: DefiningGraph, radius: int) -> tuple:
     """``multiply_walk(...).spheres`` with no enumeration, from the growth
     series.
 
-    Column l of ``davis._growth_columns`` has in entry k - j the number of
+    Column l of ``growth._growth_columns`` has in entry k - j the number of
     elements of length at most l with no left descent in a given j-subset S
     of the maximum clique C (the count is the same for right descents, by
     inversion), so col_l, column l less column l - 1, counts those of
@@ -961,7 +961,7 @@ def reference_export(ball: Ball, format: str) -> str:
 
 
 def corrupted_census(index: int, value: int) -> Callable:
-    """``davis._census``, but its receiver is handed ``value`` in place of
+    """``growth._census``, but its receiver is handed ``value`` in place of
     q_index; the census it returns is the real one.  No real series has a
     q <= 0 where ``certify`` reads, so its bound check is failed this way."""
 

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -605,6 +606,202 @@ class TestOutputTarget:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+# The exit code and the sha256 of json.dumps([code, stdout, stderr]) of
+# ``rcoxeter ARGV`` for help texts and usage errors, at 80 columns: the top
+# level, and each command with --help, with nothing, with an unknown option
+# before and after its required arguments, with a radius that is no number,
+# and --format dot on certify.  The parser adds only the subparser of the
+# command it is given, or all of them; each text must be the same either
+# way.  The digests were computed when every subparser was always built.
+USAGE_DIGESTS = {
+    "--help": (
+        0, "1717e3a51fd1e2b26c0c60abaf20748e4e26764971705407074d0191e555872b"
+    ),
+    "": (
+        1, "18b43dd2dc5ade0613f94436907dbecc1dbae75ec86a7a10c6e999931a8ff9b8"
+    ),
+    "bogus": (
+        1, "3308dae0f1a13912c722c11081b5dfa07f70cef1cc3b6ee030ebbd4afc8d63b9"
+    ),
+    "-x": (
+        1, "18b43dd2dc5ade0613f94436907dbecc1dbae75ec86a7a10c6e999931a8ff9b8"
+    ),
+    "nf --help": (
+        0, "70c34fe9f49005d1f0f5531b53ab4244ed1333e43e300ebf963f3e3c482c69fa"
+    ),
+    "nf": (
+        1, "383e330e3af7c3bfc36ed442daa3635279cfdf00b777afe804f720ab4a31f82f"
+    ),
+    "nf --bogus": (
+        1, "383e330e3af7c3bfc36ed442daa3635279cfdf00b777afe804f720ab4a31f82f"
+    ),
+    "nf --preset square a --bogus": (
+        1, "1e6d5d74c962ca1783f976a794be178482e61a21fcf498c80142ea9f584d905a"
+    ),
+    "mul --help": (
+        0, "7b70e96a3ef3f53056ab406f93b9596dd5dc44cbf8f72a89234161b54616ec55"
+    ),
+    "mul": (
+        1, "657467a47b0f7619262d78410d0650630fac396fb72f4900e1c6dc16c398a24f"
+    ),
+    "mul --bogus": (
+        1, "657467a47b0f7619262d78410d0650630fac396fb72f4900e1c6dc16c398a24f"
+    ),
+    "mul --preset square a b --bogus": (
+        1, "1e6d5d74c962ca1783f976a794be178482e61a21fcf498c80142ea9f584d905a"
+    ),
+    "order --help": (
+        0, "d1150f6542f5eeb43b360042474306992a24204476cffc991f20cc561683c440"
+    ),
+    "order": (
+        1, "d6a1b18b27acddbb20413f7f9aa8d186cfe6e40a6562802780553f79052649d2"
+    ),
+    "order --bogus": (
+        1, "d6a1b18b27acddbb20413f7f9aa8d186cfe6e40a6562802780553f79052649d2"
+    ),
+    "order --preset square a --bogus": (
+        1, "1e6d5d74c962ca1783f976a794be178482e61a21fcf498c80142ea9f584d905a"
+    ),
+    "cliques --help": (
+        0, "7d0443bb33cb6449d032be9928f10a7974a1730d935f82c6dbbef1b8f15f5a5d"
+    ),
+    "cliques": (
+        1, "a2d41ba143a63cead1d718cf46035ee3a982d2f821843c82e685c5159b99e9c9"
+    ),
+    "cliques --bogus": (
+        1, "a2d41ba143a63cead1d718cf46035ee3a982d2f821843c82e685c5159b99e9c9"
+    ),
+    "cliques --preset square --bogus": (
+        1, "1e6d5d74c962ca1783f976a794be178482e61a21fcf498c80142ea9f584d905a"
+    ),
+    "maxclique --help": (
+        0, "b3ea574e35a1b962594041392f7d784573bcbb58a704c949538e714a33006551"
+    ),
+    "maxclique": (
+        1, "75f35526aaae2d2d2cf5839731f3e87b43729c89c5a90158f194339174eedcf8"
+    ),
+    "maxclique --bogus": (
+        1, "75f35526aaae2d2d2cf5839731f3e87b43729c89c5a90158f194339174eedcf8"
+    ),
+    "maxclique --preset square --bogus": (
+        1, "1e6d5d74c962ca1783f976a794be178482e61a21fcf498c80142ea9f584d905a"
+    ),
+    "gamma --help": (
+        0, "0082fd49cdde4bdee4dc2565c72d82030288c4b5039f0c719297d6577e0bd9ac"
+    ),
+    "gamma": (
+        1, "d2f06075ab943685e51e96c5e829a82369396498eb00f735dfce881cdf858bb3"
+    ),
+    "gamma --bogus": (
+        1, "d2f06075ab943685e51e96c5e829a82369396498eb00f735dfce881cdf858bb3"
+    ),
+    "gamma --preset square --bogus": (
+        1, "1e6d5d74c962ca1783f976a794be178482e61a21fcf498c80142ea9f584d905a"
+    ),
+    "ball --help": (
+        0, "17f6ab025d7b37380743168a01099e37b6d61b182f9df2dc758be04c79b97e33"
+    ),
+    "ball": (
+        1, "1ad649da22914174f7e7bb872490b3418d3f4c81b209172aef5be3cbfd0662c7"
+    ),
+    "ball --bogus": (
+        1, "1ad649da22914174f7e7bb872490b3418d3f4c81b209172aef5be3cbfd0662c7"
+    ),
+    "ball --preset pentagon --radius x": (
+        1, "6d1b450594def578ac6f6bc72f0cf93e64483cf255af43229c30b8cbcf3e9b23"
+    ),
+    "ball --preset square --radius 2 --bogus": (
+        1, "1e6d5d74c962ca1783f976a794be178482e61a21fcf498c80142ea9f584d905a"
+    ),
+    "cubes --help": (
+        0, "6c7c8ac6cd9056bb25418a4c4b0241689b182bb9dc9e6ae31598d486e0802abd"
+    ),
+    "cubes": (
+        1, "583e1beca2de1c4159a493db593bc91991a3fcecfbf1aa699b101f5f3bfd5ae3"
+    ),
+    "cubes --bogus": (
+        1, "583e1beca2de1c4159a493db593bc91991a3fcecfbf1aa699b101f5f3bfd5ae3"
+    ),
+    "cubes --preset pentagon --radius x": (
+        1, "3949adc9668f4fb6c02e42fcc9614a6977bd86b133839a9b4b66146ef94ba577"
+    ),
+    "cubes --preset square --radius 2 a --bogus": (
+        1, "1e6d5d74c962ca1783f976a794be178482e61a21fcf498c80142ea9f584d905a"
+    ),
+    "fixed --help": (
+        0, "6840363c18d7edef088ae21173f958e1820acf5a0844280518e0e5e711dfc9f7"
+    ),
+    "fixed": (
+        1, "15560a88399784336610a079a83bb29934c628eff7de471d3add5e2104b03511"
+    ),
+    "fixed --bogus": (
+        1, "15560a88399784336610a079a83bb29934c628eff7de471d3add5e2104b03511"
+    ),
+    "fixed --preset pentagon --radius x": (
+        1, "647bfaa55b48cd9f351cfdf86b7d467ff41e0c542f9c33e70b6b262d172e04d5"
+    ),
+    "fixed --preset square --radius 2 --bogus": (
+        1, "1e6d5d74c962ca1783f976a794be178482e61a21fcf498c80142ea9f584d905a"
+    ),
+    "profile --help": (
+        0, "53e4b39f451eaecf59702d69e6af9e293a5e99bc18f66ddc71b5100c6616c7e5"
+    ),
+    "profile": (
+        1, "39546f21dc4b8e488f13d7d19b07b6a6a7fee841cdee1ded9766a2ed8a3c6443"
+    ),
+    "profile --bogus": (
+        1, "39546f21dc4b8e488f13d7d19b07b6a6a7fee841cdee1ded9766a2ed8a3c6443"
+    ),
+    "profile --preset pentagon --radius x": (
+        1, "ea109ff0cdff66cc38aac63fc08782ed1cbdbc149f59da4322e5fafac49f5e99"
+    ),
+    "profile --preset square --radius 2 --bogus": (
+        1, "1e6d5d74c962ca1783f976a794be178482e61a21fcf498c80142ea9f584d905a"
+    ),
+    "certify --help": (
+        0, "44a6329489214b693bd8e8fd3b55f5cf81e0a991b1fc0e3fa0c542e460642617"
+    ),
+    "certify": (
+        1, "359983cc1a078d34a8f00bf50d230aea1e67c2db1deb9cf6cb2e7a2317f078ce"
+    ),
+    "certify --bogus": (
+        1, "359983cc1a078d34a8f00bf50d230aea1e67c2db1deb9cf6cb2e7a2317f078ce"
+    ),
+    "certify --preset pentagon --radius x": (
+        1, "c7a81465a92efa709002f152fce4e812d55ab6fc29596ec42fbbc65524e87d52"
+    ),
+    "certify --preset square --radius 2 --bogus": (
+        1, "1e6d5d74c962ca1783f976a794be178482e61a21fcf498c80142ea9f584d905a"
+    ),
+    "export --help": (
+        0, "f3e12c3d9727d443926d50611bec75d05de78219361b7d4f28fce7cbce7777b9"
+    ),
+    "export": (
+        1, "97cbaef20207564d65b5e755b9b97a840fcb09276795943dc05591211f6e6f25"
+    ),
+    "export --bogus": (
+        1, "97cbaef20207564d65b5e755b9b97a840fcb09276795943dc05591211f6e6f25"
+    ),
+    "export --preset pentagon --radius x": (
+        1, "6fed4419719eca4efed04c8631411c837419b12bb60bbf054cedb0bdb0046638"
+    ),
+    "export --preset square --radius 2 --bogus": (
+        1, "1e6d5d74c962ca1783f976a794be178482e61a21fcf498c80142ea9f584d905a"
+    ),
+    "certify --preset square --radius 2 --format dot": (
+        1, "16fe09fc87a4664081a09c59ea571e6451e12c38703f7a00727e04823a3963a4"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_DIGESTS))
+def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv.split())
+    digest = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+    assert (code, digest) == USAGE_DIGESTS[argv]
 
 
 JUNK = (

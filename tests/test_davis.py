@@ -31,7 +31,7 @@ from rcoxeter import (
     word_to_text,
 )
 from rcoxeter.cli import main
-from rcoxeter.davis import _census
+from rcoxeter.growth import _census
 from oracles import (
     assert_same_ball,
     bfs_ball,
@@ -209,9 +209,9 @@ class TestCapBeforeAllocation:
     def test_clique_sizes_are_counted_up_to_the_radius_and_the_cap(self, monkeypatch):
         # A clique larger than the radius fits no cube, and once the cliques
         # outnumber the cap the walk raises, so no further size is counted.
-        import rcoxeter.davis as davis_module
+        import rcoxeter.growth as growth_module
 
-        real = davis_module._clique_counts
+        real = growth_module._clique_counts
         pulled = []
 
         def counted(n, masks):
@@ -219,7 +219,7 @@ class TestCapBeforeAllocation:
                 pulled.append(size)
                 yield size
 
-        monkeypatch.setattr(davis_module, "_clique_counts", counted)
+        monkeypatch.setattr(growth_module, "_clique_counts", counted)
         for radius in range(4):
             pulled.clear()
             ball_census(PENTAGON, radius)

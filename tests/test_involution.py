@@ -483,12 +483,13 @@ class TestOneWalk:
         # the involution's clique gives the census its k: the clique search
         # runs once, and the series is asked for columns 0..R at most.
         import rcoxeter.davis as davis_module
+        import rcoxeter.growth as growth_module
         import rcoxeter.involution as involution_module
         import rcoxeter.probe as probe_module
         from rcoxeter.cli import main
 
         searches, columns = [], []
-        real_columns = davis_module._growth_columns
+        real_columns = growth_module._growth_columns
 
         def counted_search(graph):
             searches.append(graph)
@@ -500,9 +501,9 @@ class TestOneWalk:
                 yield column
 
         # Each module that searches looks the search up by its own name.
-        for module in (davis_module, involution_module, probe_module):
+        for module in (davis_module, growth_module, involution_module, probe_module):
             monkeypatch.setattr(module, "maximum_spherical", counted_search)
-        monkeypatch.setattr(davis_module, "_growth_columns", counted_columns)
+        monkeypatch.setattr(growth_module, "_growth_columns", counted_columns)
         if command == "certify":
             assert certify(graph, radius).verdict
         else:

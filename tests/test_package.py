@@ -137,14 +137,50 @@ class TestCommandImports:
         code, loaded = self.loaded("certify", "--preset", "pentagon", "--radius", "4")
         assert code == 0
         assert set(loaded) >= {
-            "rcoxeter.davis", "rcoxeter.involution", "rcoxeter.probe", "rcoxeter.spherical"
+            "rcoxeter.growth", "rcoxeter.involution", "rcoxeter.probe", "rcoxeter.spherical"
         }
+
+    def test_certify_loads_exactly_the_census_path(self):
+        code, loaded = self.loaded("certify", "--preset", "pentagon", "--radius", "4")
+        assert code == 0
+        assert loaded == sorted(WORD_MODULES + [
+            "rcoxeter.growth", "rcoxeter.involution", "rcoxeter.probe", "rcoxeter.spherical"
+        ])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--radius", "4"],
+            ["ball", "--radius", "4"],
+            ["fixed", "--radius", "4"],
+            ["profile", "--radius", "4"],
+            ["gamma"],
+        ],
+        ids=["certify", "ball", "fixed", "profile", "gamma"],
+    )
+    def test_census_commands_load_no_enumerated_ball(self, argv):
+        # davis is the module that defines Ball; these commands read only
+        # the census, the involution and the profile.
+        code, loaded = self.loaded(*argv, "--preset", "pentagon")
+        assert code == 0
+        assert "rcoxeter.davis" not in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cubes", "--radius", "4", "v0"], ["export", "--radius", "4"]],
+        ids=["cubes", "export"],
+    )
+    def test_ball_commands_load_davis(self, argv):
+        code, loaded = self.loaded(*argv, "--preset", "pentagon")
+        assert code == 0
+        assert "rcoxeter.davis" in loaded
 
     def test_cap_error_still_exits_three(self):
         code, loaded = self.loaded("ball", "--preset", "pentagon", "--radius", "9",
                                    "--max-vertices", "5")
         assert code == 3
-        assert "rcoxeter.davis" in loaded
+        assert "rcoxeter.growth" in loaded
+        assert "rcoxeter.davis" not in loaded
 
 
 class TestPublicNames:
@@ -173,6 +209,24 @@ class TestPublicNames:
     def test_unknown_name_is_named(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             rcoxeter.no_such_name  # noqa: B018
+
+    def test_census_names_are_one_object_in_growth_davis_and_the_package(self):
+        from rcoxeter import davis, growth
+
+        for name in ("ResourceCapError", "Cube", "BallCensus", "_growth_columns",
+                     "ball_census", "_census"):
+            assert getattr(davis, name) is vars(growth)[name], name
+            if not name.startswith("_"):
+                assert rcoxeter._SUBMODULE_OF[name] == "growth", name
+                assert getattr(rcoxeter, name) is vars(growth)[name], name
+
+    def test_probe_reads_build_ball_from_davis_on_first_access(self):
+        from rcoxeter import davis, probe
+
+        assert probe.build_ball is davis.build_ball
+        message = "module 'rcoxeter.probe' has no attribute 'no_such_name'"
+        with pytest.raises(AttributeError, match=message):
+            probe.no_such_name  # noqa: B018
 
 
 def _records():
