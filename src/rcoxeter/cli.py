@@ -159,27 +159,37 @@ def _run(args) -> tuple[str | Iterator[str], int]:
         from .spherical import maximum_spherical
 
         return _dump_json([graph.labels[g] for g in maximum_spherical(graph)]), 0
-    from .growth import _census, ball_census
-    from .involution import build_involution, fixed_loci
-    from .probe import _census_profile, certify
-
     if args.command == "gamma":
+        from .involution import build_involution
+
         return _dump_json(build_involution(graph).as_dict()), 0
     if args.command == "certify":
+        from .probe import certify
+
         certificate = certify(graph, args.radius, max_vertices=args.max_vertices)
         return _dump_json(certificate.as_dict()), 0 if certificate.verdict else 2
     if args.command == "ball":
+        from .growth import ball_census
+
         census = ball_census(graph, args.radius, max_vertices=args.max_vertices)
         return _dump_json(census.as_dict()), 0
     if args.command in ("fixed", "profile"):
+        from .involution import build_involution
+
         inv = build_involution(graph)
         if args.command == "profile":
+            from .probe import _census_profile
+
             report = _census_profile(inv, args.radius, args.max_vertices, inv.n)
         else:
+            from .growth import _census
+            from .involution import fixed_loci
+
             report = fixed_loci(inv, _census(graph, args.radius, args.max_vertices, inv.n))
         return _dump_json(report.as_dict()), 0
     if args.command == "cubes":
         from .davis import build_ball, cubes_at_vertex
+        from .growth import ball_census
 
         census = ball_census(graph, args.radius, max_vertices=args.max_vertices)
         vertex = parse_word(" ".join(args.word), graph)

@@ -15,7 +15,10 @@ given.  One JSON line per mutant goes to stdout: the site's index, its
 line in the module, the change and whether the tests killed it.  A mutant
 whose tests run past ``--timeout`` seconds (a loop that no longer ends)
 is stopped and counts as killed.  Rerun a survivor on the whole suite
-with ``--only INDEX`` and no test files.
+with ``--only INDEX`` and no test files.  ``--function NAME``, a function
+or class of the module or ``Class.method``, runs every site inside that
+definition, so a rescreen names what changed rather than indices that
+shift with each edit; with ``--only`` it adds to those sites.
 
 The mutants are written into a temporary copy of the checkout, never into
 the checkout itself.  The copy is removed on exit, also when the screen is
@@ -87,6 +90,23 @@ def sites(tree: ast.AST) -> list[tuple[ast.AST, int]]:
     return found
 
 
+def definition_sites(tree: ast.AST, name: str) -> list[int]:
+    """The indices into ``sites(tree)`` of the sites inside the function or
+    class ``name``, a dotted path such as ``Class.method``."""
+    node = tree
+    for part in name.split("."):
+        found = [
+            child for child in getattr(node, "body", [])
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and child.name == part
+        ]
+        if not found:
+            raise KeyError(name)
+        node = found[0]
+    inside = {id(n) for n in ast.walk(node)}
+    return [i for i, (site, _) in enumerate(sites(tree)) if id(site) in inside]
+
+
 def mutant(source: str, index: int) -> tuple[str, int, str]:
     """The module's text with site ``index`` changed, the site's line and a
     description of the change."""
@@ -129,14 +149,25 @@ def main(argv=None) -> int:
     parser.add_argument("--count", type=int, help="run only the first COUNT shuffled sites")
     parser.add_argument("--only", type=int, action="append", metavar="INDEX",
                         help="run this site (repeatable)")
+    parser.add_argument("--function", action="append", default=[], metavar="NAME",
+                        help="run every site inside this function, class or "
+                        "Class.method (repeatable)")
     parser.add_argument("--timeout", type=float, default=600, metavar="SECONDS",
                         help="stop a mutant's tests after this long (default 600)")
     args = parser.parse_intermixed_args(argv)
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
     source = (ROOT / args.module).read_text()
-    order = list(range(len(sites(ast.parse(source)))))
+    parsed = ast.parse(source)
+    order = list(range(len(sites(parsed))))
     random.Random(args.seed).shuffle(order)
-    chosen = args.only if args.only else order[: args.count]
+    chosen = list(args.only or [])
+    for name in args.function:
+        try:
+            chosen += [i for i in definition_sites(parsed, name) if i not in chosen]
+        except KeyError:
+            parser.error(f"no function or class {name!r} in {args.module}")
+    if not (args.only or args.function):
+        chosen = order[: args.count]
     print(json.dumps({"module": args.module, "sites": len(order), "seed": args.seed,
                       "tests": args.tests or "all"}), flush=True)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src:tests")

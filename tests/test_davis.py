@@ -15,6 +15,7 @@ from rcoxeter import (
     DefiningGraph,
     FlagViolation,
     ResourceCapError,
+    all_cliques,
     ball_census,
     build_ball,
     canonical_cube,
@@ -425,6 +426,48 @@ class TestCanonicalCube:
     def test_rejects_non_clique(self):
         with pytest.raises(ValueError, match="not a clique"):
             canonical_cube(IDENTITY, (0, 1), DINFTY)
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ((0, 1), "axis (0, 1) is not a clique of the defining graph"),
+            ([1, 0, 1], "axis (0, 1) is not a clique of the defining graph"),
+            ((0, 1, 2), "generator index 2 out of range"),
+            ((2, 0, 1), "generator index 2 out of range"),
+            ((-1,), "generator index -1 out of range"),
+            ((1, -2, 3), "generator index -2 out of range"),
+        ],
+    )
+    def test_error_messages(self, axis, message):
+        # An axis out of range is reported before one that is not a clique,
+        # each with the normalized axis or the least bad letter.
+        with pytest.raises(ValueError) as raised:
+            canonical_cube(IDENTITY, axis, DINFTY)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "graph", ALL_PRESETS + (complete_graph(5),),
+        ids=["square", "dinfty", "pentagon", "grid", "K5"],
+    )
+    def test_a_listed_clique_is_never_normalized(self, monkeypatch, graph):
+        # Every clique the library lists is strictly increasing, so it is
+        # checked in one pass as it is read, from a tuple or an iterator.
+        import rcoxeter.davis as davis_module
+
+        ball = build_ball(graph, 3)
+        expected = [
+            (v, axis, greedy_canonical_cube(v, axis, graph))
+            for v in ball.vertices for axis in all_cliques(graph)
+        ]
+
+        def refuse(*args):
+            raise AssertionError("a canonical axis was normalized")
+
+        monkeypatch.setattr(davis_module, "_mask_of", refuse)
+        for v, axis, cube in expected:
+            assert canonical_cube(v, axis, graph) == cube
+            result = canonical_cube(v, iter(axis), graph)
+            assert result == cube and type(result) is Cube
 
 
 class TestCubesAtVertex:

@@ -148,6 +148,28 @@ class TestCommandImports:
         ])
 
     @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["ball", "--radius", "4"], []),
+            (["gamma"], ["rcoxeter.involution"]),
+            (["fixed", "--radius", "4"], ["rcoxeter.involution"]),
+            (["profile", "--radius", "4"], ["rcoxeter.involution", "rcoxeter.probe"]),
+            (["cubes", "--radius", "4", "v0"], ["rcoxeter.davis"]),
+            (["export", "--radius", "4"], ["rcoxeter.davis"]),
+        ],
+        ids=["ball", "gamma", "fixed", "profile", "cubes", "export"],
+    )
+    def test_command_loads_exactly_the_modules_it_calls(self, argv, extra):
+        # Each command imports in its own branch: the census path is growth
+        # and spherical, and only a command that calls the involution, the
+        # profile or the enumerated ball loads that module too.
+        code, loaded = self.loaded(*argv, "--preset", "pentagon")
+        assert code == 0
+        assert loaded == sorted(
+            WORD_MODULES + ["rcoxeter.growth", "rcoxeter.spherical"] + extra
+        )
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["certify", "--radius", "4"],

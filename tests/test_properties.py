@@ -9,7 +9,8 @@ algorithm in ``oracles`` and the reflection matrices share no code with
 ``rcoxeter.words``; the breadth-first ball in ``oracles`` shares none with
 ``rcoxeter.davis.build_ball``, and the greedy canonical cube none with
 ``rcoxeter.davis.canonical_cube``, which must also agree with its former
-per-letter scan, errors included.  The export is checked byte for byte
+per-letter scan, errors included, on any letters given in any iterable.
+The export is checked byte for byte
 against the one-``json.dumps`` serializer in ``oracles``, on whole balls
 and on balls missing one cube, the fixed loci and the profile, read off a
 census and off a ball, against the references that walk an enumerated
@@ -198,19 +199,27 @@ def test_canonical_cube_matches_greedy_oracle(case):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(graph_and_word(), st.data())
 def test_canonical_cube_matches_per_letter_scan(case, data):
-    # Any list of generators as the axis: a repeated letter, a non-clique
-    # or the empty axis must give the former scan's cube or its error.
+    # Any letters as the axis, given as a tuple, a list or a one-shot
+    # iterator: an out-of-range, negative, unsorted or repeated letter, a
+    # non-clique or the empty axis must give the former scan's cube or its
+    # error.  Strictly increasing in-range axes, the one-pass case, are
+    # drawn as often as the rest.
     graph, word = case
     g = normal_form(word, graph)
-    axis = data.draw(st.lists(st.integers(0, graph.n - 1), max_size=graph.n + 1))
+    n = graph.n
+    axis = data.draw(
+        st.lists(st.integers(-2, n + 1), max_size=n + 1)
+        | st.lists(st.integers(0, n - 1), max_size=n, unique=True).map(sorted)
+    )
+    given_as = data.draw(st.sampled_from([tuple, list, iter]))
     try:
-        expected = per_letter_canonical_cube(g, axis, graph)
+        expected = per_letter_canonical_cube(g, given_as(axis), graph)
     except ValueError as error:
         with pytest.raises(ValueError) as raised:
-            canonical_cube(g, axis, graph)
+            canonical_cube(g, given_as(axis), graph)
         assert str(raised.value) == str(error)
     else:
-        assert canonical_cube(g, axis, graph) == expected
+        assert canonical_cube(g, given_as(axis), graph) == expected
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
