@@ -340,11 +340,36 @@ def _vertex_texts(ball: Ball, labels: Sequence[str]) -> list[str]:
 
     Each text is its parent's plus one label: a prefix of a normal form is a
     normal form, and the shortlex order lists every parent before its
-    children, so the parent's number is already spelled.
+    children, so the parent is already spelled.  The parent of vertex j
+    with last letter x is the vertex p with ascent-table entry
+    ``up[p * n + x] == j``.  Shortlex order lists the parents of a sphere
+    in order too, so one pointer that only moves forward finds them all in
+    O(V) steps, with no word sliced or hashed.  Only a hand-built ``Ball``
+    can miss such an edge, one that no square covers either; the scan then
+    reaches j, and from j on every parent is looked up in the numbering.  A
+    failed scan costs up to O(V) steps, so it is made once, not once per
+    missing edge.
     """
-    number = ball._number
+    n = ball.graph.n
+    up = ball._up
+    vertices = ball.vertices
     texts: list[str] = []
-    for w in ball.vertices:
+    p = 0
+    for j, w in enumerate(vertices):
+        if not w:
+            texts.append("")
+            continue
+        x = w[-1]
+        while p < j and up[p * n + x] != j:
+            p += 1
+        if p == j:
+            break
+        parent = texts[p]
+        texts.append(f"{parent} {labels[x]}" if parent else labels[x])
+    else:
+        return texts
+    number = ball._number
+    for w in vertices[len(texts):]:
         if not w:
             texts.append("")
             continue
@@ -359,30 +384,43 @@ def export_complex(ball: Ball, format: str) -> str:
     The JSON is the text ``json.dumps`` gives of {"radius", "reliable_radius",
     "vertices", "cubes": [{"base", "axis"}, ...]} with positive-dimensional
     cubes, each string quoted once.  A DOT label escapes backslash and
-    double quote.  Vertices are named by their numbers in the ball, a base
-    looked up once per run of its cubes, and a DOT edge joins its base to
-    the base's entry in the ascent table, so the export makes no
-    ``multiply``.
+    double quote.  Vertices are spelled from the ball's ascent table (see
+    ``_vertex_texts``) and named by their numbers in the ball.  Each run of
+    a base's exported cubes makes the text up to its axis, or up to its
+    edge's far end in DOT, once.  The run's base is numbered by a counter
+    one past the previous run's, checked by identity against the vertex of
+    that number; in a built ball it always holds, so no base is hashed.
+    Only where it fails, in a hand-built ``Ball`` with another order or
+    equal but distinct base tuples, is the base looked up in the
+    numbering.  A DOT edge joins its base to the base's entry in the
+    ascent table, so the export makes no ``multiply``.
     """
     labels = ball.graph.labels
     number = ball._number
+    vertices = ball.vertices
+    size = len(vertices)
     if format == "json":
         texts = _vertex_texts(ball, labels)
         quoted = [encode_basestring_ascii(t) for t in texts]
+        # axes[axis]: the axis as JSON, with the cube's closing brace
         axes: dict[Clique, str] = {}
         cubes = []
         base = None
+        i = -1
         for cube in ball.cubes:
             axis = cube[1]
             if not axis:
                 continue
             if cube[0] is not base:
                 base = cube[0]
-                base_text = quoted[number[base]]
+                i += 1
+                if i == size or vertices[i] is not base:
+                    i = number[base]
+                prefix = f'{{"base": {quoted[i]}, "axis": '
             axis_text = axes.get(axis)
             if axis_text is None:
-                axis_text = axes[axis] = json.dumps([labels[g] for g in axis])
-            cubes.append(f'{{"base": {base_text}, "axis": {axis_text}}}')
+                axis_text = axes[axis] = json.dumps([labels[g] for g in axis]) + "}"
+            cubes.append(prefix + axis_text)
         return (
             f'{{"radius": {ball.radius}, "reliable_radius": {ball.reliable_radius}, '
             f'"vertices": [{", ".join(quoted)}], "cubes": [{", ".join(cubes)}]}}\n'
@@ -394,13 +432,17 @@ def export_complex(ball: Ball, format: str) -> str:
         lines.extend(f'  n{i} [label="{text or "1"}"];' for i, text in enumerate(texts))
         n, up = ball.graph.n, ball._up
         base = None
+        i = -1
         for cube in ball.cubes:
             axis = cube[1]
             if len(axis) == 1:
                 if cube[0] is not base:
                     base = cube[0]
-                    i = number[base]
-                lines.append(f"  n{i} -- n{up[i * n + axis[0]]};")
+                    i += 1
+                    if i == size or vertices[i] is not base:
+                        i = number[base]
+                    prefix = f"  n{i} -- n"
+                lines.append(f"{prefix}{up[i * n + axis[0]]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown export format {format!r}")

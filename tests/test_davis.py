@@ -32,6 +32,7 @@ from rcoxeter import (
     word_to_text,
 )
 from rcoxeter.cli import main
+from rcoxeter.davis import _vertex_texts
 from rcoxeter.growth import _census
 from oracles import (
     assert_same_ball,
@@ -690,6 +691,57 @@ def _refiled(cubes, how):
     return copied
 
 
+def _without(ball, gone):
+    """A hand-built ``Ball`` on the cubes of ``ball`` but those in ``gone``."""
+    cubes = tuple(cube for cube in ball.cubes if cube not in gone)
+    return Ball(ball.graph, ball.radius, ball.vertices, cubes, ball.reliable_radius)
+
+
+class CountingDict(dict):
+    """A dict that counts the lookups made by subscript or ``get``."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+class CountingList(list):
+    """A list that counts the reads made by subscript."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def _outer_edges(ball):
+    """The edges of ``ball`` into its outer sphere."""
+    outer = set(sphere(ball, ball.radius))
+    for cube in ball.cubes:
+        if cube.dimension == 1 and multiply(cube.base, cube.axis, ball.graph) in outer:
+            yield cube
+
+
+def _one_uncovered_outer_edge(ball):
+    """One edge from a parent into the outer sphere that no square of
+    ``ball`` covers, so that without it the parent's ascent entry is unset."""
+    n = ball.graph.n
+    for cube in _outer_edges(ball):
+        g = cube.axis[0]
+        if multiply(cube.base, cube.axis, ball.graph)[-1] == g:
+            trial = _without(ball, {cube})
+            if trial._up[trial._number[cube.base] * n + g] < 0:
+                return {cube}
+    raise AssertionError("every parent edge into the outer sphere is covered")
+
+
 class TestReadOrder:
     """Whichever reader freezes a vertex first, the flag check, the cube
     lists and the cube lookups give the oracles' answers."""
@@ -971,6 +1023,50 @@ class TestExport:
         for format in ("json", "dot"):
             assert export_complex(ball, format) == reference_export(ball, format)
 
+    @pytest.mark.parametrize(
+        "graph, radius, drop, missing",
+        [
+            # A square's corner walk still fills the identity's x0 entry.
+            (complete_graph(3), 6, lambda built: {Cube(IDENTITY, (0,))}, 0),
+            (PENTAGON, 4, _one_uncovered_outer_edge, 1),
+            # The first outer vertex whose parent entry is unfilled ends
+            # the walk; it and every later vertex are looked up.
+            (PENTAGON, 6, lambda built: set(_outer_edges(built)), 495),
+            # Long words and childless vertices move the pointer across
+            # whole spheres.
+            (DINFTY, 200, lambda built: set(), 0),
+            (GRID, 12, lambda built: set(), 0),
+        ],
+        ids=["K3", "pentagon-4", "pentagon-6", "dinfty", "grid"],
+    )
+    def test_parents_are_read_from_the_ascent_table(self, graph, radius, drop, missing):
+        built = build_ball(graph, radius)
+        ball = _without(built, drop(built))
+        # The number of vertices whose parent entry is unfilled; the first
+        # of them ends the walk.
+        n, up, number = graph.n, ball._up, ball._number
+        assert missing == sum(
+            1 for j, w in enumerate(ball.vertices) if w and up[number[w[:-1]] * n + w[-1]] != j
+        )
+        for format in ("json", "dot"):
+            assert export_complex(ball, format) == reference_export(ball, format)
+        # The pointer moves forward at most V times, each vertex reads its
+        # match once, and a scan that finds no match is made at most once.
+        ball._up = CountingList(up)
+        _vertex_texts(ball, graph.labels)
+        assert ball._up.reads <= 3 * len(ball.vertices)
+
+    def test_a_run_past_the_last_vertex_is_looked_up(self):
+        # Parents before children, but not in shortlex order: the last vertex
+        # b has the ascent edge to a b, and the run after it numbers its base
+        # past the end of the vertices.  The parent walk falls back at b.
+        a, b = (0,), (1,)
+        vertices = (IDENTITY, a, (0, 1), b)
+        cubes = (Cube(b, (0,)), Cube(IDENTITY, (0,)), Cube(IDENTITY, (1,)), Cube(a, (1,)))
+        ball = Ball(SQUARE, 2, vertices, cubes, 0)
+        for format in ("json", "dot"):
+            assert export_complex(ball, format) == reference_export(ball, format)
+
     def test_dot_escapes_quote_and_backslash(self):
         graph = DefiningGraph.from_edges(('a"b', "c\\d", "e"), [('a"b', "e")])
         ball = build_ball(graph, 3)
@@ -1019,3 +1115,30 @@ def test_export_reads_the_ball_and_makes_no_multiply(monkeypatch, name, radius):
     for command, format in (("export", "json"), ("export --format dot", "dot")):
         out = export_complex(ball, format)
         assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[command, name, radius][1]
+
+
+@pytest.mark.parametrize(
+    "graph, radius",
+    [(PENTAGON, 6), (DINFTY, 100), (GRID, 8), (complete_graph(5), 5)],
+    ids=["pentagon", "dinfty", "grid", "K5"],
+)
+def test_export_looks_up_no_more_than_each_base_run(graph, radius):
+    # Parents come from the ascent table and a base's number from the run
+    # counter, so a built ball is exported without reading its numbering.
+    # A refiled ball reads it at most once per run of a base object among
+    # the exported cubes, the positive-dimensional ones in JSON and the
+    # edges in DOT, and never per vertex.
+    built = build_ball(graph, radius)
+    for ball in [built] + [
+        Ball(graph, radius, built.vertices, _refiled(built.cubes, how), built.reliable_radius)
+        for how in REFILINGS
+    ]:
+        for format, exported in (("json", lambda d: d > 0), ("dot", lambda d: d == 1)):
+            cubes = (cube for cube in ball.cubes if exported(cube.dimension))
+            runs = sum(1 for _ in itertools.groupby(cubes, key=lambda cube: id(cube.base)))
+            expected = reference_export(ball, format)
+            ball._number = counting = CountingDict(ball._number)
+            assert export_complex(ball, format) == expected
+            assert counting.lookups <= runs
+            if ball is built:
+                assert counting.lookups == 0
